@@ -9,11 +9,9 @@
 // supervisor killed between the two reconciles by re-emitting history from
 // the WAL — never by re-running the cell.
 //
-// Replay is consumer-side field extraction, the same stance as
-// tools/bench_compare: the library still only *writes* JSON (util/json is a
-// builder, not a parser), and the three extract_* helpers below pull the
-// handful of keys replay needs out of lines this module itself wrote.  They
-// are not a general JSON parser and don't try to be.
+// Replay reads each line's top-level members once through
+// util::JsonMembers; a line that is not one complete JSON object (a torn
+// append) is skipped whole, so a cut-off "done" record never commits.
 //
 // Record shapes (one per line, "event" first):
 //   {"event":"start","campaign":...,"cells":N,"seed":S,"grid":"crc",
@@ -34,20 +32,15 @@
 
 namespace mldist::campaign {
 
-/// Extract a string value for `key` from a flat JSON object this module
-/// wrote (no whitespace between tokens), unescaping \" \\ \/ \b \f \n \r
-/// \t and \uXXXX (BMP, rendered as UTF-8).  False when the key is absent
-/// or not a string.
+/// Look up top-level member `key` of the JSON object `json`: a decoded
+/// string, a checked unsigned integer, or an object's raw bytes (verbatim,
+/// braces included: this is what makes payload pinning bitwise).  False,
+/// with `out` untouched, when `json` is not one complete object or the
+/// member is absent or of another type.
 bool extract_json_string(const std::string& json, const std::string& key,
                          std::string& out);
-
-/// Extract an unsigned integer value for `key`.
 bool extract_json_u64(const std::string& json, const std::string& key,
                       std::uint64_t& out);
-
-/// Extract the raw balanced-brace object value for `key` (verbatim
-/// substring including the outer braces — this is what makes payload
-/// pinning bitwise: the bytes come back exactly as journaled).
 bool extract_json_object(const std::string& json, const std::string& key,
                          std::string& out);
 
@@ -68,9 +61,9 @@ struct JournalState {
 };
 
 /// Replay `path` (missing file = empty state).  Later records win: a
-/// "done" after a "trained" clears the trained entry; a torn final line
-/// (crash mid-append cannot happen under append_jsonl's contract, but a
-/// full disk can truncate) is skipped.
+/// "done" after a "trained" clears the trained entry; a torn line (crash
+/// mid-append cannot happen under append_jsonl's contract, but a full disk
+/// can truncate) is skipped.
 JournalState replay_journal(const std::string& path);
 
 }  // namespace mldist::campaign

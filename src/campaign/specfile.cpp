@@ -1,13 +1,13 @@
 #include "campaign/specfile.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
-#include <utility>
 
 #include "core/targets.hpp"
+#include "util/json.hpp"
 
 namespace mldist::campaign {
 
@@ -19,259 +19,58 @@ SpecError::SpecError(const std::string& origin, int line,
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal JSON DOM with per-node source lines.  Numbers keep their raw
-// text so 64-bit integers survive exactly (no double round-trip).
-// ---------------------------------------------------------------------------
+using Event = util::JsonReader::Event;
 
+const char* kind_name(Event kind) {
+  switch (kind) {
+    case Event::kNull: return "null";
+    case Event::kBool: return "a boolean";
+    case Event::kNumber: return "a number";
+    case Event::kString: return "a string";
+    case Event::kBeginArray: return "an array";
+    case Event::kBeginObject: return "an object";
+    default: return "a value";
+  }
+}
+
+/// One value as the mapper meets it: its first event (a scalar is then
+/// the reader's current token) and the line its errors point at.
 struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  int line = 1;
-  bool boolean = false;
-  std::string text;  // string contents or raw number text
-  std::vector<Value> items;
-  std::vector<std::pair<std::string, Value>> members;
-
-  const char* kind_name() const {
-    switch (kind) {
-      case Kind::kNull: return "null";
-      case Kind::kBool: return "a boolean";
-      case Kind::kNumber: return "a number";
-      case Kind::kString: return "a string";
-      case Kind::kArray: return "an array";
-      case Kind::kObject: return "an object";
-    }
-    return "a value";
-  }
-};
-
-class Parser {
- public:
-  Parser(const std::string& text, const std::string& origin)
-      : text_(text), origin_(origin) {}
-
-  Value parse() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ < text_.size()) fail("trailing content after the spec object");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw SpecError(origin_, line_, message);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (c == ' ' || c == '\t' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of spec");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    const char c = peek();
-    Value v;
-    v.line = line_;
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"':
-        v.kind = Value::Kind::kString;
-        v.text = parse_string();
-        return v;
-      case 't':
-      case 'f':
-        v.kind = Value::Kind::kBool;
-        v.boolean = c == 't';
-        expect_word(c == 't' ? "true" : "false");
-        return v;
-      case 'n':
-        v.kind = Value::Kind::kNull;
-        expect_word("null");
-        return v;
-      default:
-        if (c == '-' || (c >= '0' && c <= '9')) {
-          v.kind = Value::Kind::kNumber;
-          v.text = parse_number();
-          return v;
-        }
-        fail(std::string("unexpected character '") + c + "'");
-    }
-  }
-
-  void expect_word(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        fail(std::string("expected '") + word + "'");
-      }
-      ++pos_;
-    }
-  }
-
-  std::string parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const auto digits = [&] {
-      const std::size_t d = pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-      if (pos_ == d) fail("malformed number");
-    };
-    digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      digits();
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\n') fail("unterminated string");
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated string escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default:
-            fail(std::string("unsupported string escape '\\") + e + "'");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    v.line = line_;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    v.line = line_;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      if (peek() != '"') fail("expected a quoted object key");
-      const int key_line = line_;
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      Value member = parse_value();
-      member.line = member.kind == Value::Kind::kObject ||
-                            member.kind == Value::Kind::kArray
-                        ? member.line
-                        : key_line;
-      v.members.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  const std::string& text_;
-  const std::string& origin_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
+  Event kind;
+  int line;
 };
 
 // ---------------------------------------------------------------------------
-// Schema mapping
+// Schema mapping, streamed straight off the reader
 // ---------------------------------------------------------------------------
 
 class Mapper {
  public:
-  explicit Mapper(const std::string& origin) : origin_(origin) {}
+  Mapper(const std::string& text, const std::string& origin)
+      : r_(text), origin_(origin) {}
 
-  CampaignSpec map(const Value& root) {
-    require(root, Value::Kind::kObject, "spec");
+  CampaignSpec map() {
+    const Value root = item();
+    require(root, Event::kBeginObject, "spec");
     CampaignSpec spec;
-    for (const auto& [key, v] : root.members) {
+    std::string key;
+    while (const auto v = member(key)) {
       if (key == "name") {
-        spec.name = as_string(v, key);
+        spec.name = as_string(*v, key);
       } else if (key == "seed") {
-        spec.seed = as_u64(v, key);
+        spec.seed = as_u64(*v, key);
       } else if (key == "defaults") {
-        map_defaults(v, spec.base);
+        map_defaults(*v, spec.base);
       } else if (key == "grid") {
-        require(v, Value::Kind::kArray, key);
-        for (const Value& b : v.items) {
+        each(*v, key, [&](const Value& b) {
           spec.blocks.push_back(map_block(b));
-        }
+        });
       } else {
-        unknown_key(v, key, "the spec",
+        unknown_key(*v, key, "the spec",
                     "name, seed, defaults, grid");
       }
     }
+    r_.next();  // kEnd, or JsonError on trailing content
     if (spec.blocks.empty()) {
       throw SpecError(origin_, root.line,
                       "spec needs a non-empty \"grid\" array");
@@ -281,6 +80,30 @@ class Mapper {
   }
 
  private:
+  /// The next array item (or the kEndArray closing the array).
+  Value item() {
+    const Event kind = r_.next();
+    return {kind, r_.line()};
+  }
+
+  /// The next member of the current object, its key in `key`; nullopt at
+  /// the object's end.  A scalar's errors point at its key's line.
+  std::optional<Value> member(std::string& key) {
+    if (r_.next() != Event::kKey) return std::nullopt;
+    key = r_.str();
+    const int key_line = r_.line();
+    const Value v = item();
+    const bool container =
+        v.kind == Event::kBeginObject || v.kind == Event::kBeginArray;
+    return Value{v.kind, container ? v.line : key_line};
+  }
+
+  template <typename Fn>
+  void each(const Value& v, const std::string& key, Fn&& fn) {
+    require(v, Event::kBeginArray, key);
+    for (Value it = item(); it.kind != Event::kEndArray; it = item()) fn(it);
+  }
+
   [[noreturn]] void unknown_key(const Value& v, const std::string& key,
                                 const std::string& where,
                                 const char* known) const {
@@ -289,106 +112,90 @@ class Mapper {
                         " (known keys: " + known + ")");
   }
 
-  void require(const Value& v, Value::Kind kind, const std::string& key) const {
+  void require(const Value& v, Event kind, const std::string& key) const {
     if (v.kind == kind) return;
-    const char* want = "a value";
-    switch (kind) {
-      case Value::Kind::kString: want = "a string"; break;
-      case Value::Kind::kNumber: want = "a number"; break;
-      case Value::Kind::kArray: want = "an array"; break;
-      case Value::Kind::kObject: want = "an object"; break;
-      default: break;
-    }
     throw SpecError(origin_, v.line,
-                    "\"" + key + "\" must be " + want + ", got " +
-                        v.kind_name());
+                    "\"" + key + "\" must be " + kind_name(kind) + ", got " +
+                        kind_name(v.kind));
   }
 
   std::string as_string(const Value& v, const std::string& key) const {
-    require(v, Value::Kind::kString, key);
-    return v.text;
+    require(v, Event::kString, key);
+    return r_.str();
   }
 
   std::uint64_t as_u64(const Value& v, const std::string& key) const {
     // Accept JSON integers and (for masks) hex strings like "0x40".
-    const std::string* raw = nullptr;
-    if (v.kind == Value::Kind::kNumber) {
-      if (v.text.find_first_of(".eE-") != std::string::npos) {
+    if (v.kind == Event::kNumber) {
+      const std::string raw(r_.raw());
+      if (raw.find_first_of(".eE-") != std::string::npos) {
         throw SpecError(origin_, v.line,
                         "\"" + key + "\" must be a non-negative integer, got " +
-                            v.text);
+                            raw);
       }
-      raw = &v.text;
-    } else if (v.kind == Value::Kind::kString) {
-      raw = &v.text;
-    } else {
+      std::uint64_t out = 0;
+      if (!util::json_u64(raw, &out)) {
+        throw SpecError(origin_, v.line,
+                        "\"" + key + "\" is out of range: " + raw);
+      }
+      return out;
+    }
+    if (v.kind != Event::kString) {
       throw SpecError(origin_, v.line,
                       "\"" + key + "\" must be an integer or a hex string, "
-                      "got " + std::string(v.kind_name()));
+                      "got " + std::string(kind_name(v.kind)));
     }
+    const std::string& raw = r_.str();
     char* end = nullptr;
-    const std::uint64_t out = std::strtoull(raw->c_str(), &end, 0);
-    if (raw->empty() || end == nullptr || *end != '\0') {
+    const std::uint64_t out = std::strtoull(raw.c_str(), &end, 0);
+    if (raw.empty() || end == nullptr || *end != '\0') {
       throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is not a valid integer: \"" + *raw +
+                      "\"" + key + "\" is not a valid integer: \"" + raw +
                           "\"");
     }
     return out;
   }
 
   int as_int(const Value& v, const std::string& key) const {
-    require(v, Value::Kind::kNumber, key);
-    if (v.text.find_first_of(".eE") != std::string::npos) {
+    require(v, Event::kNumber, key);
+    const std::string raw(r_.raw());
+    if (raw.find_first_of(".eE") != std::string::npos) {
       throw SpecError(origin_, v.line,
-                      "\"" + key + "\" must be an integer, got " + v.text);
+                      "\"" + key + "\" must be an integer, got " + raw);
     }
-    // Checked parse (parse-time-validation contract): empty text, trailing
-    // garbage and out-of-int-range values are all rejected here with the
-    // spec file:line, never silently truncated by an unchecked strtol.
-    errno = 0;
-    char* end = nullptr;
-    const long parsed = std::strtol(v.text.c_str(), &end, 10);
-    if (v.text.empty() || end != v.text.c_str() + v.text.size()) {
+    // Checked parse (parse-time-validation contract): out-of-int-range
+    // values are rejected here with the spec file:line, never truncated.
+    int out = 0;
+    if (!util::json_int(raw, &out)) {
       throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is not a valid integer: \"" + v.text +
-                          "\"");
+                      "\"" + key + "\" is out of integer range: " + raw);
     }
-    if (errno == ERANGE || parsed > 2147483647L || parsed < -2147483648L) {
-      throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is out of integer range: " + v.text);
-    }
-    return static_cast<int>(parsed);
-  }
-
-  double as_double(const Value& v, const std::string& key) const {
-    require(v, Value::Kind::kNumber, key);
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(v.text.c_str(), &end);
-    if (v.text.empty() || end != v.text.c_str() + v.text.size()) {
-      throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is not a valid number: \"" + v.text +
-                          "\"");
-    }
-    if (errno == ERANGE || !std::isfinite(parsed)) {
-      throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is out of range: " + v.text);
-    }
-    return parsed;
-  }
-
-  std::vector<std::uint64_t> as_diff_set(const Value& v,
-                                         const std::string& key) const {
-    require(v, Value::Kind::kArray, key);
-    std::vector<std::uint64_t> out;
-    out.reserve(v.items.size());
-    for (const Value& item : v.items) out.push_back(as_u64(item, key));
     return out;
   }
 
-  void map_defaults(const Value& v, core::ExperimentConfig& base) const {
-    require(v, Value::Kind::kObject, "defaults");
-    for (const auto& [key, m] : v.members) {
+  double as_double(const Value& v, const std::string& key) const {
+    require(v, Event::kNumber, key);
+    double out = 0.0;
+    if (!util::json_double(r_.raw(), &out) || !std::isfinite(out)) {
+      throw SpecError(origin_, v.line,
+                      "\"" + key + "\" is out of range: " +
+                          std::string(r_.raw()));
+    }
+    return out;
+  }
+
+  std::vector<std::uint64_t> as_diff_set(const Value& v,
+                                         const std::string& key) {
+    std::vector<std::uint64_t> out;
+    each(v, key, [&](const Value& it) { out.push_back(as_u64(it, key)); });
+    return out;
+  }
+
+  void map_defaults(const Value& v, core::ExperimentConfig& base) {
+    require(v, Event::kBeginObject, "defaults");
+    std::string key;
+    while (const auto o = member(key)) {
+      const Value& m = *o;
       if (key == "target") base.target = as_string(m, key);
       else if (key == "rounds") base.rounds = as_int(m, key);
       else if (key == "arch") base.arch = as_string(m, key);
@@ -415,10 +222,12 @@ class Mapper {
     }
   }
 
-  CellOverrides map_overrides(const Value& v) const {
-    require(v, Value::Kind::kObject, "overrides");
+  CellOverrides map_overrides(const Value& v) {
+    require(v, Event::kBeginObject, "overrides");
     CellOverrides o;
-    for (const auto& [key, m] : v.members) {
+    std::string key;
+    while (const auto mv = member(key)) {
+      const Value& m = *mv;
       if (key == "epochs") o.epochs = as_int(m, key);
       else if (key == "batch_size") o.batch_size = static_cast<std::size_t>(as_u64(m, key));
       else if (key == "learning_rate") o.learning_rate = static_cast<float>(as_double(m, key));
@@ -437,47 +246,43 @@ class Mapper {
     return o;
   }
 
-  GridBlock map_block(const Value& v) const {
-    require(v, Value::Kind::kObject, "grid block");
+  GridBlock map_block(const Value& v) {
+    require(v, Event::kBeginObject, "grid block");
     GridBlock block;
-    for (const auto& [key, m] : v.members) {
+    std::string key;
+    while (const auto mv = member(key)) {
+      const Value& m = *mv;
       if (key == "targets") {
-        require(m, Value::Kind::kArray, key);
-        for (const Value& item : m.items) {
-          block.targets.push_back(as_string(item, key));
-        }
+        each(m, key, [&](const Value& it) {
+          block.targets.push_back(as_string(it, key));
+        });
       } else if (key == "rounds") {
-        require(m, Value::Kind::kArray, key);
-        for (const Value& item : m.items) {
-          block.rounds.push_back(as_int(item, key));
-        }
+        each(m, key, [&](const Value& it) {
+          block.rounds.push_back(as_int(it, key));
+        });
       } else if (key == "archs") {
-        require(m, Value::Kind::kArray, key);
-        for (const Value& item : m.items) {
-          block.archs.push_back(as_string(item, key));
-        }
+        each(m, key, [&](const Value& it) {
+          block.archs.push_back(as_string(it, key));
+        });
       } else if (key == "diff_sites") {
-        require(m, Value::Kind::kArray, key);
-        for (const Value& item : m.items) {
-          const std::string site = as_string(item, key);
+        each(m, key, [&](const Value& it) {
+          const std::string site = as_string(it, key);
           try {
             core::parse_diff_site(site);
           } catch (const std::invalid_argument& e) {
-            throw SpecError(origin_, item.line, e.what());
+            throw SpecError(origin_, it.line, e.what());
           }
           block.diff_sites.push_back(site);
-        }
+        });
       } else if (key == "diff_sets") {
-        require(m, Value::Kind::kArray, key);
-        for (const Value& item : m.items) {
-          block.diff_sets.push_back(as_diff_set(item, key));
-        }
+        each(m, key, [&](const Value& it) {
+          block.diff_sets.push_back(as_diff_set(it, key));
+        });
       } else if (key == "offline_base_inputs") {
-        require(m, Value::Kind::kArray, key);
-        for (const Value& item : m.items) {
+        each(m, key, [&](const Value& it) {
           block.offline_budgets.push_back(
-              static_cast<std::size_t>(as_u64(item, key)));
-        }
+              static_cast<std::size_t>(as_u64(it, key)));
+        });
       } else if (key == "overrides") {
         block.overrides = map_overrides(m);
       } else {
@@ -505,6 +310,7 @@ class Mapper {
     }
   }
 
+  util::JsonReader r_;
   const std::string& origin_;
 };
 
@@ -512,10 +318,11 @@ class Mapper {
 
 CampaignSpec parse_spec_text(const std::string& text,
                              const std::string& origin) {
-  Parser parser(text, origin);
-  const Value root = parser.parse();
-  Mapper mapper(origin);
-  return mapper.map(root);
+  try {
+    return Mapper(text, origin).map();
+  } catch (const util::JsonError& e) {
+    throw SpecError(origin, e.line, e.reason);
+  }
 }
 
 CampaignSpec load_spec_file(const std::string& path) {

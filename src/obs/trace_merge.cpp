@@ -1,6 +1,7 @@
 #include "obs/trace_merge.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,64 +25,6 @@ bool read_file(const std::string& path, std::string& out) {
   return static_cast<bool>(in);
 }
 
-/// Index just past the closing quote of the string starting at `i` (which
-/// must point at the opening quote), honouring backslash escapes.  Returns
-/// npos on an unterminated string.
-std::size_t skip_string(const std::string& text, std::size_t i) {
-  for (++i; i < text.size(); ++i) {
-    if (text[i] == '\\') {
-      ++i;
-    } else if (text[i] == '"') {
-      return i + 1;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Index of the bracket closing the one at `open` ('[' or '{'), skipping
-/// strings.  npos when unbalanced.
-std::size_t match_bracket(const std::string& text, std::size_t open) {
-  const char up = text[open];
-  const char down = up == '[' ? ']' : '}';
-  int depth = 0;
-  for (std::size_t i = open; i < text.size();) {
-    const char c = text[i];
-    if (c == '"') {
-      i = skip_string(text, i);
-      if (i == std::string::npos) return std::string::npos;
-      continue;
-    }
-    if (c == up) ++depth;
-    if (c == down && --depth == 0) return i;
-    ++i;
-  }
-  return std::string::npos;
-}
-
-/// Parse the decimal u64 at `i`, advancing it past the digits.  False when
-/// no digit is present.
-bool parse_u64_at(const std::string& text, std::size_t& i, std::uint64_t& out) {
-  if (i >= text.size() || text[i] < '0' || text[i] > '9') return false;
-  out = 0;
-  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-    out = out * 10 + static_cast<std::uint64_t>(text[i] - '0');
-    ++i;
-  }
-  return true;
-}
-
-/// The u64 value of `"key":<digits>` inside `text` (first occurrence).
-/// Safe on trace files because obs/trace renders these keys with numeric
-/// values at the top level of their objects.  False when absent.
-bool find_u64_field(const std::string& text, const std::string& key,
-                    std::uint64_t& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + needle.size();
-  return parse_u64_at(text, i, out);
-}
-
 /// Microseconds with the sub-µs kept as three decimals — the same rendering
 /// obs/trace uses, so a merged file round-trips through another merge.
 std::string us_string(std::uint64_t ns) {
@@ -92,60 +35,92 @@ std::string us_string(std::uint64_t ns) {
   return buf;
 }
 
+/// A "ts" as obs/trace writes it (microseconds, at most three decimals) in
+/// ns.  False on any other shape or when it does not fit a u64.
+bool ts_to_ns(std::string_view raw, std::uint64_t* ns) {
+  const std::size_t dot = raw.find('.');
+  std::uint64_t us = 0;
+  if (!util::json_u64(raw.substr(0, dot), &us)) return false;
+  std::uint64_t frac = 0;
+  if (dot != std::string_view::npos) {
+    const std::string_view digits = raw.substr(dot + 1);
+    if (digits.size() > 3 || !util::json_u64(digits, &frac)) return false;
+    for (std::size_t k = digits.size(); k < 3; ++k) frac *= 10;
+  }
+  if (us > (UINT64_MAX - frac) / 1000) return false;
+  *ns = us * 1000 + frac;
+  return true;
+}
+
+/// One non-metadata event row: its verbatim bytes and where its "pid" and
+/// "ts" values sit in them (length 0: the member is absent).
+struct TraceRow {
+  std::string text;
+  std::size_t pid_at = 0;
+  std::size_t pid_len = 0;
+  std::size_t ts_at = 0;
+  std::size_t ts_len = 0;
+  std::uint64_t ts_ns = 0;
+};
+
 struct ParsedLane {
   std::string label;                 ///< input file stem, lane display name
   std::uint64_t epoch_ns = 0;        ///< otherData.trace_epoch_ns
   std::uint64_t dropped = 0;         ///< otherData.dropped_events
-  std::vector<std::string> events;   ///< "X" rows, verbatim object text
+  std::vector<TraceRow> events;
 };
 
 /// Extract the event rows and otherData fields of one obs/trace file.
 bool parse_trace_file(const std::string& path, ParsedLane& lane,
                       std::string* error) {
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = path + ": " + why;
+    return false;
+  };
   std::string text;
-  if (!read_file(path, text)) {
-    if (error != nullptr) *error = path + ": unreadable";
-    return false;
-  }
-  const std::size_t key = text.find("\"traceEvents\":");
-  const std::size_t open = key == std::string::npos
-                               ? std::string::npos
-                               : text.find('[', key);
-  if (open == std::string::npos) {
-    if (error != nullptr) *error = path + ": no traceEvents array";
-    return false;
-  }
-  const std::size_t close = match_bracket(text, open);
-  if (close == std::string::npos) {
-    if (error != nullptr) *error = path + ": unbalanced traceEvents array";
-    return false;
-  }
-  // Split the array into its top-level objects.
-  for (std::size_t i = open + 1; i < close;) {
-    if (text[i] != '{') {
-      ++i;
-      continue;
+  if (!read_file(path, text)) return fail("unreadable");
+  try {
+    const util::JsonMembers doc(text);
+    const auto events = doc.find("traceEvents");
+    if (!events || events->front() != '[') return fail("no traceEvents array");
+    const auto other = doc.find("otherData");
+    if (!other || other->front() != '{') return fail("no otherData object");
+    const util::JsonMembers other_data(*other);
+    if (!other_data.u64("trace_epoch_ns", &lane.epoch_ns)) {
+      return fail("no valid otherData.trace_epoch_ns");
     }
-    const std::size_t end = match_bracket(text, i);
-    if (end == std::string::npos || end > close) {
-      if (error != nullptr) *error = path + ": unbalanced event object";
-      return false;
+    other_data.u64("dropped_events", &lane.dropped);  // optional
+    util::JsonReader r(*events);
+    r.next();  // kBeginArray
+    for (auto e = r.next(); e != util::JsonReader::Event::kEndArray;
+         e = r.next()) {
+      const std::string_view row = r.skip();
+      if (e != util::JsonReader::Event::kBeginObject) continue;
+      const util::JsonMembers fields(row);
+      std::string ph;
+      // Metadata rows are re-authored per lane by the merger.
+      if (fields.string("ph", &ph) && ph == "M") continue;
+      TraceRow out{std::string(row)};
+      std::uint64_t pid = 0;
+      if (const auto v = fields.find("pid")) {
+        if (!util::json_u64(*v, &pid)) return fail("invalid event pid");
+        out.pid_at = static_cast<std::size_t>(v->data() - row.data());
+        out.pid_len = v->size();
+      }
+      if (const auto v = fields.find("ts")) {
+        // The rebased ts is at most epoch + ts: it must fit a u64 too.
+        if (!ts_to_ns(*v, &out.ts_ns) ||
+            out.ts_ns > UINT64_MAX - lane.epoch_ns) {
+          return fail("invalid event ts");
+        }
+        out.ts_at = static_cast<std::size_t>(v->data() - row.data());
+        out.ts_len = v->size();
+      }
+      lane.events.push_back(std::move(out));
     }
-    std::string row = text.substr(i, end - i + 1);
-    // Metadata rows are re-authored per lane by the merger.
-    if (row.find("\"ph\":\"M\"") == std::string::npos) {
-      lane.events.push_back(std::move(row));
-    }
-    i = end + 1;
+  } catch (const util::JsonError& e) {
+    return fail(e.what());
   }
-  // otherData lives after the array in obs/trace output, so searching the
-  // tail cannot hit an event's args.
-  const std::string tail = text.substr(close);
-  if (!find_u64_field(tail, "trace_epoch_ns", lane.epoch_ns)) {
-    if (error != nullptr) *error = path + ": no otherData.trace_epoch_ns";
-    return false;
-  }
-  find_u64_field(tail, "dropped_events", lane.dropped);  // optional
   std::string stem = fs::path(path).filename().string();
   if (const std::size_t dot = stem.find(".trace.json");
       dot != std::string::npos) {
@@ -156,37 +131,28 @@ bool parse_trace_file(const std::string& path, ParsedLane& lane,
 }
 
 /// Rewrite one event row for its lane: "pid" becomes the lane number and
-/// "ts" is shifted from the file's local epoch onto the common one.
-std::string rebase_event(const std::string& row, std::size_t lane,
+/// "ts" is shifted from the file's local epoch onto the common one.  The
+/// new values are spliced in at the old values' spans, later span first so
+/// the earlier offset stays valid; every other byte is kept.
+std::string rebase_event(const TraceRow& row, std::size_t lane,
                          std::uint64_t offset_ns) {
-  std::string out = row;
-  // "pid":<digits> -> "pid":<lane>
-  const std::string pid_key = "\"pid\":";
-  if (std::size_t pos = out.find(pid_key); pos != std::string::npos) {
-    std::size_t i = pos + pid_key.size();
-    std::uint64_t old_pid = 0;
-    if (parse_u64_at(out, i, old_pid)) {
-      out.replace(pos + pid_key.size(), i - (pos + pid_key.size()),
-                  std::to_string(lane));
+  std::string out = row.text;
+  const auto splice_ts = [&] {
+    if (row.ts_len != 0 && offset_ns != 0) {
+      out.replace(row.ts_at, row.ts_len, us_string(row.ts_ns + offset_ns));
     }
-  }
-  if (offset_ns == 0) return out;
-  // "ts":<us>.<3 digits> -> same, shifted by offset_ns.
-  const std::string ts_key = "\"ts\":";
-  if (std::size_t pos = out.find(ts_key); pos != std::string::npos) {
-    std::size_t i = pos + ts_key.size();
-    std::uint64_t us = 0;
-    if (parse_u64_at(out, i, us)) {
-      std::uint64_t frac = 0;
-      std::size_t end = i;
-      if (end < out.size() && out[end] == '.') {
-        ++end;
-        parse_u64_at(out, end, frac);
-      }
-      const std::uint64_t ns = us * 1000 + frac + offset_ns;
-      out.replace(pos + ts_key.size(), end - (pos + ts_key.size()),
-                  us_string(ns));
+  };
+  const auto splice_pid = [&] {
+    if (row.pid_len != 0) {
+      out.replace(row.pid_at, row.pid_len, std::to_string(lane));
     }
+  };
+  if (row.ts_at > row.pid_at) {
+    splice_ts();
+    splice_pid();
+  } else {
+    splice_pid();
+    splice_ts();
   }
   return out;
 }
@@ -249,7 +215,7 @@ bool merge_trace_files(const std::vector<std::string>& inputs,
     meta.raw("args", meta_args.str());
     rows.push_back(meta.str());
     const std::uint64_t offset = lane.epoch_ns - epoch;
-    for (const std::string& row : lane.events) {
+    for (const TraceRow& row : lane.events) {
       rows.push_back(rebase_event(row, pid, offset));
     }
     dropped += lane.dropped;

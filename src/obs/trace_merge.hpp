@@ -19,11 +19,11 @@
 //   * otherData carries the summed dropped_events, the lane count and the
 //     common epoch.
 //
-// Parsing stance: the library still builds JSON rather than parsing it
-// (util/json is a builder); like campaign/journal's replay this module does
-// consumer-side extraction over text this repo itself wrote — quote-aware
-// balanced-bracket scanning, not a DOM — and rejects files that do not look
-// like obs/trace output.
+// Each input is read with util::JsonReader: an input that is not one
+// complete JSON object with a traceEvents array and an in-range
+// otherData.trace_epoch_ns (every event's pid and ts in range too) is
+// skipped.  The new pid and ts are spliced in at the spans the reader
+// returns, so every other byte of an event row is copied verbatim.
 #pragma once
 
 #include <cstdint>

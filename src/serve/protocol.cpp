@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -13,114 +12,55 @@
 
 namespace mldist::serve {
 
-namespace {
-
-/// Scanner for the fixed request shape.  Not a general JSON DOM (the spec
-/// parser in src/campaign stays the repo's only one of those): it accepts
-/// {"model": string, "inputs": [string, ...]} with arbitrary whitespace and
-/// key order, and nothing else.
-class RequestScanner {
- public:
-  explicit RequestScanner(const std::string& text) : text_(text) {}
-
-  bool parse(ClassifyRequest* out, std::string* error) {
-    skip_ws();
-    if (!consume('{')) return fail(error, "expected a JSON object");
-    bool have_model = false;
-    bool have_inputs = false;
-    skip_ws();
-    if (consume('}')) return fail(error, "empty request object");
-    while (true) {
-      std::string key;
-      if (!parse_string(&key)) return fail(error, "expected a string key");
-      skip_ws();
-      if (!consume(':')) return fail(error, "expected ':' after key");
-      skip_ws();
-      if (key == "model") {
-        if (have_model) return fail(error, "duplicate \"model\" key");
-        if (!parse_string(&out->model)) {
-          return fail(error, "\"model\" must be a string");
+bool parse_classify_request(const std::string& body, ClassifyRequest* out,
+                            std::string* error) {
+  using Event = util::JsonReader::Event;
+  const auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return false;
+  };
+  const char* const kInputsShape = "\"inputs\" must be an array of hex strings";
+  out->model.clear();
+  out->inputs_hex.clear();
+  util::JsonReader r(body);
+  bool opened = false;
+  bool have_model = false;
+  bool have_inputs = false;
+  try {
+    opened = r.next() == Event::kBeginObject;
+    if (!opened) return fail("expected a JSON object");
+    Event e = r.next();
+    if (e == Event::kEndObject) return fail("empty request object");
+    for (; e == Event::kKey; e = r.next()) {
+      if (r.str() == "model") {
+        if (have_model) return fail("duplicate \"model\" key");
+        if (r.next() != Event::kString) {
+          return fail("\"model\" must be a string");
         }
+        out->model = r.str();
         have_model = true;
-      } else if (key == "inputs") {
-        if (have_inputs) return fail(error, "duplicate \"inputs\" key");
-        if (!consume('[')) {
-          return fail(error, "\"inputs\" must be an array of hex strings");
-        }
-        skip_ws();
-        if (!consume(']')) {
-          while (true) {
-            std::string item;
-            if (!parse_string(&item)) {
-              return fail(error, "\"inputs\" must be an array of hex strings");
-            }
-            out->inputs_hex.push_back(std::move(item));
-            skip_ws();
-            if (consume(']')) break;
-            if (!consume(',')) return fail(error, "expected ',' or ']'");
-            skip_ws();
-          }
+      } else if (r.str() == "inputs") {
+        if (have_inputs) return fail("duplicate \"inputs\" key");
+        if (r.next() != Event::kBeginArray) return fail(kInputsShape);
+        for (Event item = r.next(); item != Event::kEndArray; item = r.next()) {
+          if (item != Event::kString) return fail(kInputsShape);
+          out->inputs_hex.push_back(r.str());
         }
         have_inputs = true;
       } else {
-        return fail(error, "unknown key \"" + key +
-                               "\" (expected \"model\" and \"inputs\")");
+        return fail("unknown key \"" + r.str() +
+                    "\" (expected \"model\" and \"inputs\")");
       }
-      skip_ws();
-      if (consume('}')) break;
-      if (!consume(',')) return fail(error, "expected ',' or '}'");
-      skip_ws();
     }
-    skip_ws();
-    if (pos_ != text_.size()) return fail(error, "trailing content");
-    if (!have_model) return fail(error, "missing \"model\"");
-    if (!have_inputs || out->inputs_hex.empty()) {
-      return fail(error, "missing or empty \"inputs\"");
-    }
-    return true;
+    r.next();  // kEnd, or JsonError on trailing content
+  } catch (const util::JsonError& e) {
+    return fail(opened ? e.what() : "expected a JSON object");
   }
-
- private:
-  static bool fail(std::string* error, std::string message) {
-    if (error != nullptr) *error = std::move(message);
-    return false;
+  if (!have_model) return fail("missing \"model\"");
+  if (!have_inputs || out->inputs_hex.empty()) {
+    return fail("missing or empty \"inputs\"");
   }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string* out) {
-    skip_ws();
-    if (!consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') return false;  // model names / hex need none
-      *out += text_[pos_++];
-    }
-    return consume('"');
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool parse_classify_request(const std::string& body, ClassifyRequest* out,
-                            std::string* error) {
-  return RequestScanner(body).parse(out, error);
+  return true;
 }
 
 bool decode_inputs(const std::vector<std::string>& inputs_hex,

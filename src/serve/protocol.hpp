@@ -18,10 +18,10 @@
 // batch-size-1 serving return byte-identical bodies (pinned by
 // bench/serving_saturation.cpp).
 //
-// The request parser is a purpose-built reader for exactly this shape —
-// the serving plane's input is machine-generated, so unknown keys are
-// rejected rather than skipped (fail loudly beats serving a request whose
-// options were silently ignored).
+// The request is read with util::JsonReader and must have exactly this
+// shape: the serving plane's input is machine-generated, so unknown keys
+// are rejected rather than skipped (fail loudly beats serving a request
+// whose options were silently ignored).
 #pragma once
 
 #include <string>
@@ -38,8 +38,9 @@ struct ClassifyRequest {
   std::vector<std::string> inputs_hex;
 };
 
-/// Parse a /v1/classify body.  Returns false with a client-facing message
-/// in `error` on malformed JSON, missing/unknown keys or empty inputs.
+/// Parse a /v1/classify body into `*out`, which is reset first.  Returns
+/// false with a client-facing message in `error` on malformed JSON,
+/// missing/unknown keys or empty inputs.
 bool parse_classify_request(const std::string& body, ClassifyRequest* out,
                             std::string* error);
 

@@ -3,8 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -239,190 +239,326 @@ WriteResult append_jsonl(const std::string& path, const std::string& line) {
   return {};
 }
 
+JsonError::JsonError(const std::string& why, std::size_t at, int on_line)
+    : std::runtime_error(why + " at line " + std::to_string(on_line) +
+                         ", offset " + std::to_string(at)),
+      reason(why),
+      offset(at),
+      line(on_line) {}
+
 namespace {
 
-/// Recursive-descent well-formedness check over `s` starting at `i`.
-/// Grammar per RFC 8259; no value materialisation.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-  bool run(std::string* error) {
-    skip_ws();
-    if (!value(0)) {
-      if (error != nullptr) *error = fail_;
-      return false;
-    }
-    skip_ws();
-    if (i_ != s_.size()) {
-      if (error != nullptr) {
-        *error = "trailing data at offset " + std::to_string(i_);
-      }
-      return false;
-    }
-    return true;
+int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xc0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xe0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else {
+    out += static_cast<char>(0xf0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
   }
+}
 
- private:
-  static constexpr int kMaxDepth = 256;
-
-  bool err(const std::string& what) {
-    if (fail_.empty()) {
-      fail_ = what + " at offset " + std::to_string(i_);
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
-                              s_[i_] == '\n' || s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  bool eat(char c) {
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return err(std::string("expected '") + c + "'");
-  }
-
-  bool literal(std::string_view word) {
-    if (s_.substr(i_, word.size()) == word) {
-      i_ += word.size();
-      return true;
-    }
-    return err("invalid literal");
-  }
-
-  bool string() {
-    if (!eat('"')) return false;
-    while (i_ < s_.size()) {
-      const unsigned char c = static_cast<unsigned char>(s_[i_]);
-      if (c == '"') {
-        ++i_;
-        return true;
-      }
-      if (c < 0x20) return err("unescaped control character in string");
-      if (c == '\\') {
-        ++i_;
-        if (i_ >= s_.size()) return err("truncated escape");
-        const char e = s_[i_];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (i_ + k >= s_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(s_[i_ + k]))) {
-              return err("bad \\u escape");
-            }
-          }
-          i_ += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return err("bad escape");
-        }
-      }
-      ++i_;
-    }
-    return err("unterminated string");
-  }
-
-  bool number() {
-    const std::size_t start = i_;
-    if (i_ < s_.size() && s_[i_] == '-') ++i_;
-    if (i_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-      return err("bad number");
-    }
-    if (s_[i_] == '0') {
-      ++i_;
-    } else {
-      while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_])))
-        ++i_;
-    }
-    if (i_ < s_.size() && s_[i_] == '.') {
-      ++i_;
-      if (i_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[i_])))
-        return err("bad fraction");
-      while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_])))
-        ++i_;
-    }
-    if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
-      ++i_;
-      if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
-      if (i_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[i_])))
-        return err("bad exponent");
-      while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_])))
-        ++i_;
-    }
-    return i_ > start;
-  }
-
-  bool value(int depth) {
-    if (depth > kMaxDepth) return err("nesting too deep");
-    if (i_ >= s_.size()) return err("unexpected end of input");
-    switch (s_[i_]) {
-      case '{': {
-        ++i_;
-        skip_ws();
-        if (i_ < s_.size() && s_[i_] == '}') {
-          ++i_;
-          return true;
-        }
-        for (;;) {
-          skip_ws();
-          if (!string()) return false;
-          skip_ws();
-          if (!eat(':')) return false;
-          skip_ws();
-          if (!value(depth + 1)) return false;
-          skip_ws();
-          if (i_ < s_.size() && s_[i_] == ',') {
-            ++i_;
-            continue;
-          }
-          return eat('}');
-        }
-      }
-      case '[': {
-        ++i_;
-        skip_ws();
-        if (i_ < s_.size() && s_[i_] == ']') {
-          ++i_;
-          return true;
-        }
-        for (;;) {
-          skip_ws();
-          if (!value(depth + 1)) return false;
-          skip_ws();
-          if (i_ < s_.size() && s_[i_] == ',') {
-            ++i_;
-            continue;
-          }
-          return eat(']');
-        }
-      }
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t i_ = 0;
-  std::string fail_;
-};
+/// from_chars over all of `raw`: false on a partial parse or out of range.
+template <typename T>
+bool convert_all(std::string_view raw, T* out) {
+  T value{};
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
 
 }  // namespace
 
+void JsonReader::fail(const std::string& reason) const {
+  throw JsonError(reason, pos_, line_);
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c == '\n') {
+      ++line_;
+    } else if (c != ' ' && c != '\t' && c != '\r') {
+      return;
+    }
+    ++pos_;
+  }
+}
+
+void JsonReader::mark() {
+  tok_ = pos_;
+  tok_line_ = line_;
+}
+
+char JsonReader::peek() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+JsonReader::Event JsonReader::next() {
+  last_ = step();
+  return last_;
+}
+
+JsonReader::Event JsonReader::step() {
+  skip_ws();
+  switch (state_) {
+    case State::kValue:
+      return value();
+    case State::kFirstMember:
+      return peek() == '}' ? close(Event::kEndObject) : key();
+    case State::kFirstItem:
+      return peek() == ']' ? close(Event::kEndArray) : value();
+    case State::kColon:
+      if (peek() != ':') fail("expected ':' after object key");
+      ++pos_;
+      skip_ws();
+      return value();
+    case State::kAfterValue:
+      break;
+  }
+  if (depth_ == 0) {
+    mark();
+    if (pos_ == text_.size()) return Event::kEnd;
+    fail("trailing content after the JSON value");
+  }
+  const bool object = in_object_[depth_ - 1];
+  const char c = peek();
+  if (c == ',') {
+    ++pos_;
+    skip_ws();
+    return object ? key() : value();
+  }
+  if (c == (object ? '}' : ']')) {
+    return close(object ? Event::kEndObject : Event::kEndArray);
+  }
+  fail(object ? "expected ',' or '}'" : "expected ',' or ']'");
+}
+
+JsonReader::Event JsonReader::close(Event e) {
+  mark();
+  ++pos_;
+  --depth_;
+  state_ = State::kAfterValue;
+  return e;
+}
+
+JsonReader::Event JsonReader::key() {
+  if (peek() != '"') fail("expected a quoted object key");
+  mark();
+  string();
+  state_ = State::kColon;
+  return Event::kKey;
+}
+
+JsonReader::Event JsonReader::value() {
+  const char c = peek();
+  mark();
+  if (c == '{' || c == '[') {
+    if (depth_ == kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    in_object_[depth_++] = c == '{';
+    ++pos_;
+    state_ = c == '{' ? State::kFirstMember : State::kFirstItem;
+    return c == '{' ? Event::kBeginObject : Event::kBeginArray;
+  }
+  state_ = State::kAfterValue;
+  switch (c) {
+    case '"':
+      string();
+      return Event::kString;
+    case 't':
+      literal("true");
+      return Event::kBool;
+    case 'f':
+      literal("false");
+      return Event::kBool;
+    case 'n':
+      literal("null");
+      return Event::kNull;
+    default:
+      if (c == '-' || is_digit(c)) {
+        number();
+        return Event::kNumber;
+      }
+      fail("unexpected character");
+  }
+}
+
+void JsonReader::literal(std::string_view word) {
+  if (text_.substr(pos_, word.size()) != word) fail("invalid literal");
+  pos_ += word.size();
+}
+
+void JsonReader::number() {
+  const auto digits = [this] {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    if (pos_ == from) fail("malformed number");
+  };
+  if (text_[pos_] == '-') ++pos_;
+  if (pos_ < text_.size() && text_[pos_] == '0') {
+    ++pos_;
+  } else {
+    digits();
+  }
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    ++pos_;
+    digits();
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+      ++pos_;
+    }
+    digits();
+  }
+}
+
+std::uint32_t JsonReader::hex4() {
+  std::uint32_t v = 0;
+  for (int k = 0; k < 4; ++k) {
+    const int d = pos_ < text_.size() ? hex_value(text_[pos_]) : -1;
+    if (d < 0) fail("bad \\u escape");
+    v = (v << 4) | static_cast<std::uint32_t>(d);
+    ++pos_;
+  }
+  return v;
+}
+
+void JsonReader::string() {
+  str_.clear();
+  ++pos_;  // opening quote
+  for (;;) {
+    const std::size_t run = pos_;
+    while (pos_ < text_.size()) {
+      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+      ++pos_;
+    }
+    str_.append(text_.data() + run, pos_ - run);
+    if (pos_ >= text_.size() || text_[pos_] == '\n') {
+      fail("unterminated string");
+    }
+    const char c = text_[pos_++];
+    if (c == '"') return;
+    if (c != '\\') {
+      --pos_;
+      fail("unescaped control character in string");
+    }
+    if (pos_ >= text_.size()) fail("unterminated string");
+    switch (text_[pos_++]) {
+      case '"': str_ += '"'; break;
+      case '\\': str_ += '\\'; break;
+      case '/': str_ += '/'; break;
+      case 'b': str_ += '\b'; break;
+      case 'f': str_ += '\f'; break;
+      case 'n': str_ += '\n'; break;
+      case 'r': str_ += '\r'; break;
+      case 't': str_ += '\t'; break;
+      case 'u': {
+        std::uint32_t cp = hex4();
+        if (cp >= 0xdc00 && cp <= 0xdfff) fail("unpaired surrogate");
+        if (cp >= 0xd800 && cp <= 0xdbff) {
+          if (text_.substr(pos_, 2) != "\\u") fail("unpaired surrogate");
+          pos_ += 2;
+          const std::uint32_t low = hex4();
+          if (low < 0xdc00 || low > 0xdfff) fail("unpaired surrogate");
+          cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+        }
+        append_utf8(str_, cp);
+        break;
+      }
+      default:
+        pos_ -= 2;
+        fail("invalid string escape");
+    }
+  }
+}
+
+std::string_view JsonReader::skip() {
+  if (last_ == Event::kKey) next();
+  const std::size_t begin = tok_;
+  if (last_ == Event::kBeginObject || last_ == Event::kBeginArray) {
+    for (const int outer = depth_ - 1; depth_ > outer;) next();
+  }
+  return text_.substr(begin, pos_ - begin);
+}
+
+bool json_u64(std::string_view raw, std::uint64_t* out) {
+  return convert_all(raw, out);
+}
+
+bool json_int(std::string_view raw, int* out) { return convert_all(raw, out); }
+
+bool json_double(std::string_view raw, double* out) {
+  return convert_all(raw, out);
+}
+
+JsonMembers::JsonMembers(std::string_view object) {
+  JsonReader r(object);
+  if (r.next() != JsonReader::Event::kBeginObject) {
+    throw JsonError("expected a JSON object", r.offset(), r.line());
+  }
+  while (r.next() == JsonReader::Event::kKey) {
+    std::string key = r.str();
+    members_.emplace_back(std::move(key), r.skip());
+  }
+  r.next();  // kEnd, or JsonError on trailing content
+}
+
+std::optional<std::string_view> JsonMembers::find(std::string_view key) const {
+  for (const auto& [name, value] : members_) {
+    if (name == key) return value;
+  }
+  return std::nullopt;
+}
+
+bool JsonMembers::string(std::string_view key, std::string* out) const {
+  const auto value = find(key);
+  if (!value || value->front() != '"') return false;
+  JsonReader r(*value);
+  r.next();
+  *out = r.str();
+  return true;
+}
+
+bool JsonMembers::u64(std::string_view key, std::uint64_t* out) const {
+  const auto value = find(key);
+  return value && json_u64(*value, out);
+}
+
 bool json_validate(std::string_view text, std::string* error) {
-  return JsonChecker(text).run(error);
+  try {
+    JsonReader r(text);
+    r.next();
+    r.skip();
+    r.next();  // kEnd, or JsonError on trailing content
+    return true;
+  } catch (const JsonError& e) {
+    if (error != nullptr) *error = e.what();
+    return false;
+  }
 }
 
 }  // namespace mldist::util

@@ -1,14 +1,18 @@
-// Minimal JSON emission for telemetry records and bench artifacts.
+// JSON for the whole repo: JsonBuilder writes it, JsonReader reads it.
 //
-// The repo only ever *writes* JSON (one object per report / bench run, fed
-// to external plotting or tracking scripts), so this is a builder, not a
-// parser.  Nesting is by composition: build the child with its own
-// JsonBuilder and attach it with raw().
+// Emission nests by composition: build the child with its own JsonBuilder
+// and attach it with raw().  Every input the repo reads back (spec files,
+// the campaign WAL, /v1/classify bodies, trace lanes, bench history) goes
+// through the one pull reader below (DESIGN.md §14, "JSON reading").
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mldist::util {
@@ -74,11 +78,104 @@ bool fsync_file(const std::string& path, std::string* error = nullptr);
 /// fsync the directory containing `path`, making a rename into it durable.
 bool fsync_parent_dir(const std::string& path, std::string* error = nullptr);
 
-/// Minimal well-formedness validator for the JSON this repo emits (bench
-/// artifacts, telemetry records, trace files): objects, arrays, strings
-/// with escapes, numbers, true/false/null, nesting depth <= 256.  Returns
-/// false and fills `error` (with a byte offset) on the first violation.
-/// This is a checker, not a parser — the repo still never builds a DOM.
+/// Every JSON reading failure: what went wrong and where — the byte offset
+/// and 1-based line of the offending byte.  what() carries all three.
+class JsonError : public std::runtime_error {
+ public:
+  JsonError(const std::string& reason, std::size_t offset, int line);
+
+  std::string reason;
+  std::size_t offset;
+  int line;
+};
+
+/// Pull reader over one RFC 8259 JSON text.  It builds no DOM: next()
+/// yields one event per token, and only the current key or string is
+/// decoded (every escape, surrogate pairs included, to UTF-8).  Numbers
+/// stay raw text for the checked json_u64/json_int/json_double below.
+/// Nesting deeper than kMaxDepth containers, whitespace outside the four
+/// JSON ones, and anything after the top-level value are errors.
+class JsonReader {
+ public:
+  enum class Event {
+    kBeginObject, kEndObject, kBeginArray, kEndArray,
+    kKey, kString, kNumber, kBool, kNull,
+    kEnd,  ///< the top-level value is complete and only whitespace follows
+  };
+  static constexpr int kMaxDepth = 256;
+
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// The next event; kEnd again once the input is done.  Throws JsonError.
+  Event next();
+  /// Finish the value whose first event next() just returned (after kKey:
+  /// the member's whole value) and return its raw bytes, verbatim.
+  std::string_view skip();
+
+  /// Decoded text of the last kKey or kString.
+  const std::string& str() const { return str_; }
+  /// Raw bytes of the last token: a number's text, a string with its
+  /// quotes and escapes, a literal ("true" for a true kBool), or one
+  /// bracket.
+  std::string_view raw() const { return text_.substr(tok_, pos_ - tok_); }
+  /// Byte offset and 1-based line where the last token starts.
+  std::size_t offset() const { return tok_; }
+  int line() const { return tok_line_; }
+
+ private:
+  enum class State { kValue, kFirstMember, kFirstItem, kColon, kAfterValue };
+
+  Event step();
+  Event value();
+  Event key();
+  Event close(Event e);
+  void mark();
+  void skip_ws();
+  char peek();
+  void string();
+  void number();
+  void literal(std::string_view word);
+  std::uint32_t hex4();
+  [[noreturn]] void fail(const std::string& reason) const;
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
+  std::size_t tok_ = 0;
+  int tok_line_ = 1;
+  State state_ = State::kValue;
+  Event last_ = Event::kEnd;
+  int depth_ = 0;
+  std::array<bool, kMaxDepth> in_object_{};  ///< per open container
+  std::string str_;
+};
+
+/// Checked conversions of a number's raw text: false unless all of `raw`
+/// is a number in range of the type (u64 and int take integers only).
+bool json_u64(std::string_view raw, std::uint64_t* out);
+bool json_int(std::string_view raw, int* out);
+bool json_double(std::string_view raw, double* out);
+
+/// The top-level members of one JSON object, keys decoded and values kept
+/// as raw byte spans into the text (which must outlive this).  Throws
+/// JsonError unless the text is exactly one complete object.
+class JsonMembers {
+ public:
+  explicit JsonMembers(std::string_view object);
+
+  /// Raw bytes of the first member named `key`; nullopt when absent.
+  std::optional<std::string_view> find(std::string_view key) const;
+  /// The decoded string / checked u64 member `key`.  False (and `out`
+  /// untouched) when absent or of another type.
+  bool string(std::string_view key, std::string* out) const;
+  bool u64(std::string_view key, std::uint64_t* out) const;
+
+ private:
+  std::vector<std::pair<std::string, std::string_view>> members_;
+};
+
+/// True when `text` is exactly one JSON value; otherwise false with the
+/// JsonError text (reason, line, offset) in `error`.
 bool json_validate(std::string_view text, std::string* error = nullptr);
 
 }  // namespace mldist::util

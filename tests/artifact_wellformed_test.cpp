@@ -1,8 +1,8 @@
 // Every JSON artifact this repo emits must be machine-readable: telemetry
 // records, registry snapshots, trace files, and whatever already sits under
 // results/ (bench artifacts from earlier runs in this build tree).  Backed
-// by util::json_validate — a checker, not a parser — so a malformed emitter
-// fails here long before an external plotting script chokes on it.
+// by util::json_validate, so a malformed emitter fails here long before an
+// external plotting script chokes on it.
 #include <gtest/gtest.h>
 
 #include <filesystem>

@@ -327,6 +327,62 @@ TEST(CampaignJournal, ExtractsStringsNumbersAndObjects) {
   EXPECT_FALSE(campaign::extract_json_string(line, "absent", s));
   EXPECT_FALSE(campaign::extract_json_u64(line, "cell", n));
   EXPECT_FALSE(campaign::extract_json_object(line, "telemetry", obj));
+  // Lookups are of top-level members, not the first textual match.
+  EXPECT_FALSE(campaign::extract_json_u64(line, "n", n));
+  // Out-of-range integers are rejected, not wrapped (2^64 + 1 read as 1).
+  n = 42;
+  EXPECT_FALSE(campaign::extract_json_u64(R"({"index":18446744073709551617})",
+                                          "index", n));
+  EXPECT_EQ(n, 42u);
+  ASSERT_TRUE(campaign::extract_json_u64(R"({"index":18446744073709551615})",
+                                         "index", n));
+  EXPECT_EQ(n, 18446744073709551615u);
+}
+
+TEST(CampaignJournal, TornDoneRecordNeverCommits) {
+  // A real "done" record cut at any byte is either absent from the replay
+  // or replayed with its exact payload and telemetry bytes; never committed
+  // with the telemetry silently dropped.
+  TempDir dir("torn-done");
+  ASSERT_TRUE(
+      campaign::Supervisor(tiny_spec(1), options_for(dir, /*workers=*/0))
+          .run()
+          .complete());
+  std::ifstream in(dir.path() + "/campaign.state.jsonl");
+  std::string record;
+  std::string cell;
+  while (std::getline(in, record)) {
+    std::string event;
+    if (campaign::extract_json_string(record, "event", event) &&
+        event == "done") {
+      ASSERT_TRUE(campaign::extract_json_string(record, "cell", cell));
+      break;
+    }
+  }
+  ASSERT_FALSE(cell.empty()) << "no done record in the WAL";
+  // The record ends ...,"payload":{...},"telemetry":{...}} (JsonBuilder
+  // member order), so the expected bytes can be cut out textually.
+  const std::size_t p = record.find(",\"payload\":") + 11;
+  const std::size_t t = record.rfind(",\"telemetry\":");
+  ASSERT_NE(t, std::string::npos);
+  const std::string payload = record.substr(p, t - p);
+  const std::string telemetry =
+      record.substr(t + 13, record.size() - 1 - (t + 13));
+  ASSERT_EQ(telemetry.front(), '{');
+
+  const std::string path = dir.path() + "/torn.jsonl";
+  for (std::size_t cut = 0; cut <= record.size(); ++cut) {
+    std::ofstream(path, std::ios::trunc) << record.substr(0, cut) << "\n";
+    const campaign::JournalState state = campaign::replay_journal(path);
+    if (cut < record.size()) {
+      EXPECT_TRUE(state.done_payload.empty()) << "cut at " << cut;
+      EXPECT_TRUE(state.done_telemetry.empty()) << "cut at " << cut;
+      continue;
+    }
+    ASSERT_EQ(state.done_payload.count(cell), 1u);
+    EXPECT_EQ(state.done_payload.at(cell), payload);
+    EXPECT_EQ(state.done_telemetry.at(cell), telemetry);
+  }
 }
 
 TEST(CampaignJournal, ReplayAppliesLaterRecordsOverEarlier) {
@@ -677,8 +733,10 @@ TEST(CampaignTelemetry, ChaosKilledWorkersLeaveValidMergedTrace) {
   EXPECT_TRUE(util::json_validate(text, &error)) << error;
   EXPECT_NE(text.find("\"process_name\""), std::string::npos)
       << "merged trace must name its per-worker lanes";
+  std::string other_data;
+  ASSERT_TRUE(campaign::extract_json_object(text, "otherData", other_data));
   std::uint64_t lanes = 0;
-  ASSERT_TRUE(campaign::extract_json_u64(text, "lanes", lanes));
+  ASSERT_TRUE(campaign::extract_json_u64(other_data, "lanes", lanes));
   EXPECT_GE(lanes, 2u)
       << "killed workers' lanes must survive into the merged trace";
 }

@@ -1228,6 +1228,11 @@ TEST(TraceMerge, InvalidInputsAreSkippedNotFatal) {
   // A lane whose process died before its first flush: not valid JSON, no
   // epoch — the merge keeps going on the lanes that did land.
   std::ofstream(dir / "worker-dead.trace.json") << "{\"traceEvents\":[{\"na";
+  // A lane whose epoch does not fit a u64 (2^64 + 1) is rejected, not
+  // wrapped around to 1 and made the common epoch of the merge.
+  std::ofstream(dir / "worker-wrap.trace.json")
+      << "{\"traceEvents\":[],\"otherData\":{\"dropped_events\":0,"
+         "\"trace_epoch_ns\":18446744073709551617}}\n";
   obs::TraceMergeResult result;
   std::string error;
   const std::string merged = (dir / "campaign.trace.json").string();
@@ -1235,6 +1240,7 @@ TEST(TraceMerge, InvalidInputsAreSkippedNotFatal) {
                                      merged, &result, &error))
       << error;
   EXPECT_EQ(result.lanes, 1u);
+  EXPECT_EQ(result.epoch_ns, 5'000u);
   std::ifstream in(merged);
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());

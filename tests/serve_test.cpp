@@ -246,6 +246,28 @@ TEST(Protocol, ParsesWellFormedRequests) {
       << error;
   EXPECT_EQ(req.model, "x");
   ASSERT_EQ(req.inputs_hex.size(), 1u);
+
+  // A reused request is reset: a 2-input parse, then a 1-input parse into
+  // the same object, leaves only the second body's input.
+  serve::ClassifyRequest reused;
+  ASSERT_TRUE(serve::parse_classify_request(
+      "{\"model\":\"m\",\"inputs\":[\"00\",\"11\"]}", &reused, &error))
+      << error;
+  ASSERT_TRUE(serve::parse_classify_request(
+      "{\"model\":\"m\",\"inputs\":[\"22\"]}", &reused, &error))
+      << error;
+  ASSERT_EQ(reused.inputs_hex.size(), 1u);
+  EXPECT_EQ(reused.inputs_hex[0], "22");
+
+  // Every RFC 8259 string escape is decoded, in keys and values alike.
+  req = {};
+  ASSERT_TRUE(serve::parse_classify_request(
+      "{\"m\\u006fdel\":\"m\\u0031\\/x\",\"inputs\":[\"0\\u0030\"]}", &req,
+      &error))
+      << error;
+  EXPECT_EQ(req.model, "m1/x");
+  ASSERT_EQ(req.inputs_hex.size(), 1u);
+  EXPECT_EQ(req.inputs_hex[0], "00");
 }
 
 TEST(Protocol, RejectsMalformedRequests) {
@@ -269,6 +291,9 @@ TEST(Protocol, RejectsMalformedRequests) {
   rejects("{\"model\":\"m\",\"model\":\"m\",\"inputs\":[\"00\"]}",
           "duplicate \"model\"");
   rejects("{\"model\":\"m\",\"inputs\":[\"00\"]}x", "trailing content");
+  // Only JSON's four whitespace bytes separate tokens.
+  rejects("{\"model\":\"m\",\v\"inputs\":[\"00\"]}", "quoted object key");
+  rejects("{\"model\":\"m\",\"inputs\":[\"00\"]}\f", "trailing content");
 }
 
 TEST(Protocol, DecodeInputsValidatesHexAndWidth) {

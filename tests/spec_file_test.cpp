@@ -201,6 +201,18 @@ TEST(SpecFile, SyntaxErrorsReportLine) {
   expect_error("{\n \"name\": \"unterminated\n}", 2, "unterminated string");
 }
 
+TEST(SpecFile, DecodesEveryStringEscape) {
+  const CampaignSpec spec = campaign::parse_spec_text(
+      R"({"name": "caf\u00e9 \ud83d\ude00\b\f\/\"\\",)"
+      R"( "grid": [ {"targets": ["t\u006fy"], "rounds": [1]} ]})",
+      "spec.json");
+  EXPECT_EQ(spec.name, "caf\xc3\xa9 \xf0\x9f\x98\x80\b\f/\"\\");
+  ASSERT_EQ(spec.blocks.size(), 1u);
+  EXPECT_EQ(spec.blocks[0].targets, std::vector<std::string>{"toy"});
+  expect_error("{\n \"name\": \"\\ud83d\"\n}", 2, "unpaired surrogate");
+  expect_error("{\n \"name\": \"\\q\"\n}", 2, "invalid string escape");
+}
+
 TEST(SpecFile, ValidationCatchesImpossibleCells) {
   // Structurally valid JSON whose cells cannot be instantiated must fail at
   // parse time (naming the cell), not in a worker.

@@ -11,6 +11,10 @@
 
 #include <atomic>
 
+#include "campaign/journal.hpp"
+#include "campaign/specfile.hpp"
+#include "obs/trace_merge.hpp"
+#include "serve/protocol.hpp"
 #include "util/bits.hpp"
 #include "util/hex.hpp"
 #include "util/json.hpp"
@@ -381,6 +385,288 @@ TEST(Json, BuilderOutputValidates) {
       .raw("nested", "{\"x\":[1,2,3]}");
   std::string error;
   EXPECT_TRUE(json_validate(j.str(), &error)) << j.str() << ": " << error;
+}
+
+TEST(Json, ReaderErrorsCarryReasonOffsetAndLine) {
+  struct Case {
+    const char* text;
+    const char* reason;
+    std::size_t offset;
+    int line;
+  };
+  const Case cases[] = {
+      {"", "unexpected end of input", 0, 1},
+      {"[1,", "unexpected end of input", 3, 1},
+      {"[1,]", "unexpected character", 3, 1},
+      {"\v[]", "unexpected character", 0, 1},
+      {"{1:2}", "expected a quoted object key", 1, 1},
+      {"{\"a\":1,}", "expected a quoted object key", 7, 1},
+      {"{\"a\" 1}", "expected ':' after object key", 5, 1},
+      {"[1 2]", "expected ',' or ']'", 3, 1},
+      {"{\"a\":1 \"b\"}", "expected ',' or '}'", 7, 1},
+      {"[1] x", "trailing content", 4, 1},
+      {"01", "trailing content", 1, 1},
+      {"{\n  \"a\": tru\n}", "invalid literal", 9, 2},
+      {"-", "malformed number", 1, 1},
+      {"1.", "malformed number", 2, 1},
+      {"1e+", "malformed number", 3, 1},
+      {"\"abc", "unterminated string", 4, 1},
+      {"[\n\"a\nb\"]", "unterminated string", 4, 2},
+      {"\"a\tb\"", "unescaped control character", 2, 1},
+      {"\"\\x\"", "invalid string escape", 1, 1},
+      {"\"\\u12g4\"", "bad \\u escape", 5, 1},
+      {"\"\\ud800\"", "unpaired surrogate", 7, 1},
+      {"\"\\udc00\"", "unpaired surrogate", 7, 1},
+      {"\"\\ud800\\u0041\"", "unpaired surrogate", 13, 1},
+  };
+  for (const Case& c : cases) {
+    try {
+      JsonReader r(c.text);
+      while (r.next() != JsonReader::Event::kEnd) {
+      }
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const JsonError& e) {
+      EXPECT_EQ(e.reason.find(c.reason), 0u) << c.text << ": " << e.what();
+      EXPECT_EQ(e.offset, c.offset) << c.text << ": " << e.what();
+      EXPECT_EQ(e.line, c.line) << c.text << ": " << e.what();
+      const std::string at = "at line " + std::to_string(c.line) +
+                             ", offset " + std::to_string(c.offset);
+      EXPECT_NE(std::string(e.what()).find(at), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Json, NestingDepthCapIs256) {
+  // Alternate arrays and objects: "[{"k":[{"k":...0...}]}]".
+  const auto openers = [](int depth) {
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += i % 2 == 0 ? "[" : "{\"k\":";
+    return doc;
+  };
+  const auto nested = [&](int depth) {
+    std::string doc = openers(depth) + "0";
+    for (int i = depth - 1; i >= 0; --i) doc += i % 2 == 0 ? "]" : "}";
+    return doc;
+  };
+  std::string error;
+  EXPECT_TRUE(json_validate(nested(JsonReader::kMaxDepth), &error)) << error;
+  const std::string deep = nested(JsonReader::kMaxDepth + 1);
+  EXPECT_FALSE(json_validate(deep, &error));
+  try {
+    JsonReader r(deep);
+    while (r.next() != JsonReader::Event::kEnd) {
+    }
+    ADD_FAILURE() << "257 levels accepted";
+  } catch (const JsonError& e) {
+    EXPECT_NE(e.reason.find("nesting deeper than 256"), std::string::npos);
+    // Reported at the 257th opener.
+    EXPECT_EQ(e.offset, openers(JsonReader::kMaxDepth).size());
+  }
+}
+
+TEST(Json, ReaderYieldsEventsAndDecodesEveryEscape) {
+  using E = JsonReader::Event;
+  JsonReader r(
+      " {\"k\\u00e9\": [true, false, null, -1.5e3, "
+      "\"\\\"\\\\\\/\\b\\f\\n\\r\\t\\u0041\\ud83d\\ude00\"], \"o\": {}}\n");
+  const std::vector<E> want = {E::kBeginObject, E::kKey,    E::kBeginArray,
+                               E::kBool,        E::kBool,   E::kNull,
+                               E::kNumber,      E::kString, E::kEndArray,
+                               E::kKey,         E::kBeginObject,
+                               E::kEndObject,   E::kEndObject, E::kEnd};
+  std::vector<E> got;
+  std::vector<std::string> strs;
+  std::vector<bool> bools;
+  for (E e = r.next();; e = r.next()) {
+    got.push_back(e);
+    if (e == E::kKey || e == E::kString) strs.push_back(r.str());
+    if (e == E::kBool) bools.push_back(r.raw() == "true");
+    if (e == E::kNumber) {
+      EXPECT_EQ(r.raw(), "-1.5e3");
+    }
+    if (e == E::kEnd) break;
+  }
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(strs.size(), 3u);
+  EXPECT_EQ(strs[0], "k\xc3\xa9");
+  EXPECT_EQ(strs[1], "\"\\/\b\f\n\r\tA\xf0\x9f\x98\x80");
+  EXPECT_EQ(strs[2], "o");
+  EXPECT_EQ(bools, (std::vector<bool>{true, false}));
+  EXPECT_EQ(r.next(), E::kEnd);  // stays at the end
+}
+
+TEST(Json, SkipReturnsByteExactRawSpansAndLines) {
+  const std::string doc =
+      "{\"a\" : [1, {\"b\":\"x\\\"}\"}] ,\n \"c\":  -0.50e+3 ,\"d\":null,"
+      "\n\"e\":\"\\u00e9\"}";
+  const JsonMembers m(doc);
+  EXPECT_EQ(m.find("a"), std::string_view("[1, {\"b\":\"x\\\"}\"}]"));
+  EXPECT_EQ(m.find("c"), std::string_view("-0.50e+3"));
+  EXPECT_EQ(m.find("d"), std::string_view("null"));
+  EXPECT_EQ(m.find("e"), std::string_view("\"\\u00e9\""));
+  EXPECT_FALSE(m.find("b"));  // nested keys are not members
+  std::string e;
+  ASSERT_TRUE(m.string("e", &e));
+  EXPECT_EQ(e, "\xc3\xa9");
+  EXPECT_FALSE(m.string("c", &e));
+  EXPECT_EQ(e, "\xc3\xa9");  // untouched on a type mismatch
+
+  // Token lines and offsets follow the raw text.
+  JsonReader r(doc);
+  r.next();
+  r.next();
+  EXPECT_EQ(r.next(), JsonReader::Event::kBeginArray);
+  EXPECT_EQ(r.skip(), "[1, {\"b\":\"x\\\"}\"}]");
+  EXPECT_EQ(r.next(), JsonReader::Event::kKey);
+  EXPECT_EQ(r.line(), 2);
+  EXPECT_EQ(r.offset(), doc.find("\"c\""));
+  EXPECT_EQ(r.skip(), "-0.50e+3");  // after a key: the member's value
+
+  EXPECT_THROW(JsonMembers("[1]"), JsonError);
+  EXPECT_THROW(JsonMembers("{\"a\":1"), JsonError);
+  EXPECT_THROW(JsonMembers("{\"a\":1} {}"), JsonError);
+}
+
+TEST(Json, NumbersStayRawWithCheckedConversions) {
+  struct Case {
+    const char* raw;
+    bool u64_ok;
+    std::uint64_t u64;
+    bool int_ok;
+    int i;
+    bool double_ok;
+    double d;
+  };
+  const Case cases[] = {
+      {"0", true, 0, true, 0, true, 0.0},
+      {"18446744073709551615", true, 18446744073709551615u, false, 0, true,
+       18446744073709551615.0},
+      {"18446744073709551617", false, 0, false, 0, true,
+       18446744073709551617.0},
+      {"-1", false, 0, true, -1, true, -1.0},
+      {"2147483647", true, 2147483647u, true, 2147483647, true, 2147483647.0},
+      {"2147483648", true, 2147483648u, false, 0, true, 2147483648.0},
+      {"-2147483649", false, 0, false, 0, true, -2147483649.0},
+      {"1.5", false, 0, false, 0, true, 1.5},
+      {"-0.25e2", false, 0, false, 0, true, -25.0},
+      {"1e999", false, 0, false, 0, false, 0.0},
+  };
+  for (const Case& c : cases) {
+    JsonReader r(c.raw);
+    ASSERT_EQ(r.next(), JsonReader::Event::kNumber) << c.raw;
+    EXPECT_EQ(r.raw(), c.raw);  // the text survives exactly
+    std::uint64_t u = 7;
+    int i = 7;
+    double d = 7.0;
+    EXPECT_EQ(json_u64(r.raw(), &u), c.u64_ok) << c.raw;
+    EXPECT_EQ(u, c.u64_ok ? c.u64 : 7u) << c.raw;
+    EXPECT_EQ(json_int(r.raw(), &i), c.int_ok) << c.raw;
+    EXPECT_EQ(i, c.int_ok ? c.i : 7) << c.raw;
+    EXPECT_EQ(json_double(r.raw(), &d), c.double_ok) << c.raw;
+    EXPECT_EQ(d, c.double_ok ? c.d : 7.0) << c.raw;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// truncation sweep: every JSON consumer, fed every prefix of a valid input
+// ---------------------------------------------------------------------------
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// True when `prefix` is `full` minus only trailing whitespace — the only
+/// cuts a consumer may accept.
+bool whole(const std::string& full, std::size_t cut) {
+  return full.find_first_not_of(" \t\r\n", cut) == std::string::npos;
+}
+
+TEST(JsonTruncation, SpecFileCutsAreSpecErrorsOrTheFullSpec) {
+  const std::string text =
+      read_text(std::string(MLDIST_SOURCE_DIR) + "/examples/paper_grid.json");
+  ASSERT_GT(text.size(), 100u);
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    try {
+      const auto spec =
+          mldist::campaign::parse_spec_text(text.substr(0, cut), "grid");
+      EXPECT_TRUE(whole(text, cut)) << "cut at " << cut << " accepted";
+      EXPECT_EQ(spec.name, "paper-grid");
+    } catch (const mldist::campaign::SpecError& e) {
+      EXPECT_FALSE(whole(text, cut)) << e.what();
+      EXPECT_GE(e.line(), 1) << e.what();
+    }
+  }
+}
+
+TEST(JsonTruncation, ClassifyBodyCutsAreRejectedWithAMessage) {
+  const std::string body =
+      " {\"model\":\"gimli\\u002dhash\",\"inputs\":[\"00ff\",\"a1b2\"]}\n";
+  mldist::serve::ClassifyRequest req;
+  for (std::size_t cut = 0; cut <= body.size(); ++cut) {
+    std::string error;
+    const bool ok = mldist::serve::parse_classify_request(body.substr(0, cut),
+                                                          &req, &error);
+    EXPECT_EQ(ok, whole(body, cut)) << "cut at " << cut << ": " << error;
+    if (ok) {
+      EXPECT_EQ(req.model, "gimli-hash");
+      EXPECT_EQ(req.inputs_hex.size(), 2u);
+    } else {
+      EXPECT_FALSE(error.empty()) << "cut at " << cut;
+    }
+  }
+}
+
+TEST(JsonTruncation, WalDoneLineCutsNeverCommit) {
+  const std::string line =
+      R"({"event":"done","cell":"c1","index":0,"payload":{"cell":"c1",)"
+      R"("acc":0.5,"s":"}\"{"},"telemetry":{"fit":{"seconds":1.5}}})";
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mldist_json_torn_wal.jsonl")
+          .string();
+  for (std::size_t cut = 0; cut <= line.size(); ++cut) {
+    std::ofstream(path, std::ios::trunc) << line.substr(0, cut) << "\n";
+    const auto state = mldist::campaign::replay_journal(path);
+    if (!whole(line, cut)) {
+      EXPECT_TRUE(state.done_payload.empty()) << "cut at " << cut;
+      continue;
+    }
+    EXPECT_EQ(state.done_payload.at("c1"),
+              R"({"cell":"c1","acc":0.5,"s":"}\"{"})");
+    EXPECT_EQ(state.done_telemetry.at("c1"), R"({"fit":{"seconds":1.5}})");
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(JsonTruncation, TraceFileCutsAreSkippedLanes) {
+  const std::string text =
+      "{\"traceEvents\":[\n"
+      "{\"name\":\"a\",\"cat\":\"t\",\"ph\":\"X\",\"ts\":1.500,\"dur\":1.000,"
+      "\"pid\":7,\"tid\":1},\n"
+      "{\"name\":\"b\",\"cat\":\"t\",\"ph\":\"X\",\"ts\":2.250,\"dur\":0.125,"
+      "\"pid\":7,\"tid\":2}\n"
+      "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":0,"
+      "\"trace_epoch_ns\":1000}}\n";
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mldist_json_torn_trace";
+  std::filesystem::create_directories(dir);
+  const std::string lane = (dir / "worker-1.trace.json").string();
+  const std::string out = (dir / "merged.json").string();
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    std::ofstream(lane, std::ios::trunc) << text.substr(0, cut);
+    mldist::obs::TraceMergeResult result;
+    std::string error;
+    const bool ok =
+        mldist::obs::merge_trace_files({lane}, out, &result, &error);
+    EXPECT_EQ(ok, whole(text, cut)) << "cut at " << cut << ": " << error;
+    if (ok) {
+      EXPECT_EQ(result.events, 2u);
+    } else {
+      EXPECT_FALSE(error.empty()) << "cut at " << cut;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

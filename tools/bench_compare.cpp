@@ -29,10 +29,8 @@
 // (seeds, iteration counts, thread counts, manifest fields) is provenance,
 // not performance, and is ignored.
 //
-// The extraction below is a deliberately tiny recursive-descent reader that
-// collects numeric leaves as dotted paths.  It is a consumer-side tool; the
-// library side of the repo still only ever *writes* JSON (util/json.hpp).
-#include <cctype>
+// Each history line is walked with util::JsonReader, collecting numeric
+// leaves as dotted paths.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -51,125 +49,56 @@ namespace {
 // numeric-leaf extraction
 // ---------------------------------------------------------------------------
 
-struct Extractor {
-  explicit Extractor(std::string_view t) : text(t) {}
-
-  std::string_view text;
-  std::size_t pos = 0;
-  std::map<std::string, double> leaves;
-  std::map<std::string, std::string> strings;  ///< top-level-ish strings
-  bool ok = true;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    skip_ws();
-    std::string out;
-    if (pos >= text.size() || text[pos] != '"') {
-      ok = false;
-      return out;
-    }
-    ++pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) {
-        const char e = text[pos + 1];
-        if (e == 'n') out += '\n';
-        else if (e == 't') out += '\t';
-        else if (e == 'u') {  // keep the raw escape; paths never need it
-          out += "\\u";
-          pos += 2;
-          continue;
-        } else out += e;
-        pos += 2;
-      } else {
-        out += text[pos++];
-      }
-    }
-    if (pos >= text.size()) ok = false;
-    ++pos;  // closing quote
-    return out;
-  }
-
-  void parse_value(const std::string& path) {
-    skip_ws();
-    if (pos >= text.size()) {
-      ok = false;
-      return;
-    }
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      if (consume('}')) return;
-      do {
-        const std::string key = parse_string();
-        if (!ok || !consume(':')) {
-          ok = false;
-          return;
-        }
-        parse_value(path.empty() ? key : path + "." + key);
-        if (!ok) return;
-      } while (consume(','));
-      if (!consume('}')) ok = false;
-    } else if (c == '[') {
-      ++pos;
-      if (consume(']')) return;
-      int idx = 0;
-      do {
-        parse_value(path + "[" + std::to_string(idx++) + "]");
-        if (!ok) return;
-      } while (consume(','));
-      if (!consume(']')) ok = false;
-    } else if (c == '"') {
-      strings[path] = parse_string();
-    } else if (std::strncmp(text.data() + pos, "true", 4) == 0) {
-      pos += 4;
-    } else if (std::strncmp(text.data() + pos, "false", 5) == 0) {
-      pos += 5;
-    } else if (std::strncmp(text.data() + pos, "null", 4) == 0) {
-      pos += 4;
-    } else {
-      char* end = nullptr;
-      const double v = std::strtod(text.data() + pos, &end);
-      if (end == text.data() + pos) {
-        ok = false;
-        return;
-      }
-      pos = static_cast<std::size_t>(end - text.data());
-      leaves[path] = v;
-    }
-  }
-};
-
 struct BenchEntry {
   std::string bench;
   std::map<std::string, double> metrics;
   std::string run_id;
 };
 
+/// Numeric and string leaves of one JSON value, keyed by dotted path
+/// (array items as path[i]).
+struct Leaves {
+  std::map<std::string, double> numbers;
+  std::map<std::string, std::string> strings;
+};
+
+/// Collect the leaves of the value whose first event `r` just returned.
+void collect(mldist::util::JsonReader& r, mldist::util::JsonReader::Event e,
+             const std::string& path, Leaves& out) {
+  using Event = mldist::util::JsonReader::Event;
+  if (e == Event::kBeginObject) {
+    while (r.next() == Event::kKey) {
+      const std::string key = path.empty() ? r.str() : path + "." + r.str();
+      collect(r, r.next(), key, out);
+    }
+  } else if (e == Event::kBeginArray) {
+    int idx = 0;
+    for (Event item = r.next(); item != Event::kEndArray; item = r.next()) {
+      collect(r, item, path + "[" + std::to_string(idx++) + "]", out);
+    }
+  } else if (e == Event::kString) {
+    out.strings[path] = r.str();
+  } else if (e == Event::kNumber) {
+    double v = 0.0;
+    if (mldist::util::json_double(r.raw(), &v)) out.numbers[path] = v;
+  }
+}
+
 bool extract_entry(const std::string& line, BenchEntry& out) {
-  Extractor ex(line);
-  ex.parse_value("");
-  if (!ex.ok) return false;
-  const auto bench_it = ex.strings.find("bench");
-  if (bench_it == ex.strings.end()) return false;
+  Leaves leaves;
+  try {
+    mldist::util::JsonReader r(line);
+    collect(r, r.next(), "", leaves);
+    r.next();  // kEnd, or JsonError on trailing content
+  } catch (const mldist::util::JsonError&) {
+    return false;
+  }
+  const auto bench_it = leaves.strings.find("bench");
+  if (bench_it == leaves.strings.end()) return false;
   out.bench = bench_it->second;
-  out.metrics = std::move(ex.leaves);
-  const auto run_it = ex.strings.find("manifest.run_id");
-  if (run_it != ex.strings.end()) out.run_id = run_it->second;
+  out.metrics = std::move(leaves.numbers);
+  const auto run_it = leaves.strings.find("manifest.run_id");
+  if (run_it != leaves.strings.end()) out.run_id = run_it->second;
   return true;
 }
 
