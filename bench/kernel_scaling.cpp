@@ -7,15 +7,18 @@
 // GEMM GFLOP/s, batched-Gimli states/sec, the loop-vs-batch collection
 // throughput and the train-epoch wall time, each with its speedup over the
 // reference implementation (GEMM) or over the scalar per-sample loop
-// (collection).  Acceptance thresholds, checked by the exit status:
+// (collection), and the ns/call and GFLOP/s of the two batch-1 gohr-net
+// conv products.  Acceptance thresholds, checked by the exit status:
 //   * best GEMM speedup vs reference >= 2x,
-//   * best batched collection speedup vs the scalar sample() loop >= 1.5x.
+//   * best batched collection speedup vs the scalar sample() loop >= 1.5x,
+//   * every backend's conv products bitwise equal to the reference.
 //
 // Every implementation is bitwise identical to the reference (the
 // determinism contract of src/kernels/dispatch.hpp, enforced by
 // tests/kernel_equiv_test.cpp), so these numbers compare equal computations.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -93,6 +96,64 @@ int main(int argc, char** argv) {
         .field("gflops", gflops)
         .field("speedup_vs_reference", speedup);
     gemm_json.push_back(j.str());
+  }
+  bench::print_rule();
+
+  // --- batch-1 gohr-net conv products --------------------------------------
+  // One served observable through a kernel-3, 32-channel residual conv on a
+  // 64-bit input is two products (kernels/conv1d.hpp, kDirect): the
+  // interior view (62 windows x 96 x 32) and the zero-padded border rows
+  // (2 x 96 x 32).  At this size fixed per-call cost, not FLOPs, sets the
+  // time, so ns/call is the number to watch.  Each backend is checked
+  // bitwise against the reference on the same operands.
+  struct ConvProduct {
+    const char* name;
+    std::size_t m, k, n;
+  };
+  const ConvProduct conv_products[] = {{"interior", 62, 96, 32},
+                                       {"border", 2, 96, 32}};
+  const int conv_calls = opt.full ? 5000 : 1000;
+  bool conv_bitwise_ok = true;
+  std::vector<std::string> conv_json;
+  for (const ConvProduct& p : conv_products) {
+    std::vector<float> pa(p.m * p.k), pb(p.k * p.n), want(p.m * p.n),
+        got(p.m * p.n);
+    for (auto& v : pa) v = static_cast<float>(rng.next_gaussian());
+    for (auto& v : pb) v = static_cast<float>(rng.next_gaussian());
+    kernels::gemm_impl(kernels::Impl::kReference, pa.data(),
+                       static_cast<std::ptrdiff_t>(p.k), 1, pb.data(),
+                       static_cast<std::ptrdiff_t>(p.n), 1, want.data(), p.m,
+                       p.k, p.n);
+    const double product_flops = 2.0 * static_cast<double>(p.m * p.k * p.n);
+    std::printf("gohr-net batch-1 conv %s %zux%zux%zu, %d calls\n", p.name,
+                p.m, p.k, p.n, conv_calls);
+    for (const kernels::Impl impl : impls) {
+      const auto run = [&] {
+        kernels::gemm_impl(impl, pa.data(), static_cast<std::ptrdiff_t>(p.k),
+                           1, pb.data(), static_cast<std::ptrdiff_t>(p.n), 1,
+                           got.data(), p.m, p.k, p.n);
+      };
+      const double seconds = timed(5, [&] {
+        for (int i = 0; i < conv_calls; ++i) run();
+      });
+      const bool bitwise = std::memcmp(got.data(), want.data(),
+                                       got.size() * sizeof(float)) == 0;
+      conv_bitwise_ok = conv_bitwise_ok && bitwise;
+      const double ns_per_call = seconds / conv_calls * 1e9;
+      const double gflops = product_flops * conv_calls / seconds / 1e9;
+      std::printf("  %-10s %9.0f ns/call %8.2f GFLOP/s   bitwise %s\n",
+                  kernels::impl_name(impl), ns_per_call, gflops,
+                  bitwise ? "ok" : "MISMATCH");
+      util::JsonBuilder j;
+      j.field("product", p.name)
+          .field("shape", std::to_string(p.m) + "x" + std::to_string(p.k) +
+                              "x" + std::to_string(p.n))
+          .field("impl", kernels::impl_name(impl))
+          .field("ns_per_call", ns_per_call)
+          .field("gflops", gflops)
+          .field("bitwise_equal_reference", bitwise);
+      conv_json.push_back(j.str());
+    }
   }
   bench::print_rule();
 
@@ -208,9 +269,10 @@ int main(int argc, char** argv) {
   const bool gemm_ok = gemm_best_speedup >= 2.0;
   const bool collect_ok = collect_best_speedup >= 1.5;
   std::printf("acceptance: GEMM best %.2fx (target 2x): %s   collection "
-              "best %.2fx (target 1.5x): %s\n",
+              "best %.2fx (target 1.5x): %s   conv products bitwise: %s\n",
               gemm_best_speedup, gemm_ok ? "OK" : "FAIL",
-              collect_best_speedup, collect_ok ? "OK" : "FAIL");
+              collect_best_speedup, collect_ok ? "OK" : "FAIL",
+              conv_bitwise_ok ? "OK" : "FAIL");
 
   util::JsonBuilder acceptance;
   acceptance.field("gemm_speedup_target", 2.0)
@@ -218,12 +280,14 @@ int main(int argc, char** argv) {
       .field("gemm_ok", gemm_ok)
       .field("collect_speedup_target", 1.5)
       .field("collect_best_speedup", collect_best_speedup)
-      .field("collect_ok", collect_ok);
+      .field("collect_ok", collect_ok)
+      .field("conv_products_bitwise_ok", conv_bitwise_ok);
   util::JsonBuilder artifact;
   artifact.raw("options", bench::options_json(opt))
       .field("gemm_shape", std::to_string(m) + "x" + std::to_string(k) + "x" +
                                std::to_string(n))
       .raw("gemm", util::JsonBuilder::array(gemm_json))
+      .raw("gohr_conv_b1", util::JsonBuilder::array(conv_json))
       .field("gimli_batch_states", static_cast<std::uint64_t>(states))
       .raw("gimli_batch", util::JsonBuilder::array(gimli_json))
       .field("collect_target", "gimli-hash/8")
@@ -235,5 +299,5 @@ int main(int argc, char** argv) {
       .raw("acceptance", acceptance.str());
   bench::write_bench_json("kernels", artifact);
   std::printf("artifact: results/BENCH_kernels.json\n");
-  return (gemm_ok && collect_ok) ? 0 : 1;
+  return (gemm_ok && collect_ok && conv_bitwise_ok) ? 0 : 1;
 }

@@ -233,7 +233,12 @@ TrainReport MLDistinguisher::train(const Target& target,
   train_report_.fit.seconds = fit_timer.seconds();
   train_report_.fit.rows =
       train_set.size() * static_cast<std::size_t>(std::max(0, options_.epochs));
-  train_report_.fit.threads = util::ThreadPool::global().thread_count();
+  // The fit's GEMMs fan out over the process-wide pool, except inside an
+  // enclosing parallel region (campaign cells, the game fan-out), where
+  // every nested parallel_for runs inline on this thread.
+  train_report_.fit.threads = util::ThreadPool::in_parallel_region()
+                                  ? 1
+                                  : util::ThreadPool::global().thread_count();
   train_report_.seconds_per_epoch =
       options_.epochs > 0
           ? train_report_.fit.seconds / static_cast<double>(options_.epochs)

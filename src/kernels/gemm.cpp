@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "kernels/gemm_internal.hpp"
 #include "obs/metrics.hpp"
@@ -40,8 +40,59 @@ namespace detail {
 namespace {
 
 // Below this many fma steps the packing traffic dominates; fall through to
-// the (bitwise-identical) elementwise chain instead.
+// the (bitwise-identical) row-broadcast product instead.
 constexpr std::size_t kBlockedBypassFlops = 32u * 32u * 32u;
+
+/// Per-thread grow-only pack buffer.  Never value-initialised: the packing
+/// loops write every lane the micro-kernel reads, zero pads included.  One
+/// arena per operand, so a thread holds at most the two full cache blocks
+/// (kMC x kKC and kKC x kNC floats) however many products it runs.
+class PackArena {
+ public:
+  float* reserve(std::size_t floats) {
+    if (capacity_ < floats) {
+      data_.reset(new float[floats]);
+      capacity_ = floats;
+    }
+    return data_.get();
+  }
+
+ private:
+  std::unique_ptr<float[]> data_;
+  std::size_t capacity_ = 0;
+};
+
+/// Small products: c[i][:] starts at +0 and takes the row-broadcast update
+/// c[i][j] = fma(a[i][kk], b[kk][j], c[i][j]) for kk ascending — each
+/// element sees exactly the reference's k-ascending chain, but the inner
+/// loop runs across contiguous columns, so it vectorises instead of
+/// issuing one serial fma chain per element.
+void gemm_small(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
+                const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
+                float* c, std::size_t m, std::size_t k, std::size_t n,
+                const GemmEpilogue& epilogue) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* a_row = a + static_cast<std::ptrdiff_t>(i) * a_rs;
+    float* __restrict c_row = c + i * n;
+    std::fill(c_row, c_row + n, 0.0f);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = a_row[static_cast<std::ptrdiff_t>(kk) * a_cs];
+      const float* __restrict b_row =
+          b + static_cast<std::ptrdiff_t>(kk) * b_rs;
+      if (b_cs == 1) {
+        for (std::size_t j = 0; j < n; ++j) {
+          c_row[j] = std::fmaf(av, b_row[j], c_row[j]);
+        }
+      } else {
+        for (std::size_t j = 0; j < n; ++j) {
+          c_row[j] = std::fmaf(
+              av, b_row[static_cast<std::ptrdiff_t>(j) * b_cs], c_row[j]);
+        }
+      }
+    }
+    apply_epilogue_row(c_row, n, epilogue, 0);
+  }
+}
 
 // Scalar full-tile micro-kernel.  Row lanes of kNR=16 floats autovectorize
 // cleanly (two AVX vectors per row); std::fmaf keeps the chain explicit.
@@ -85,15 +136,20 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
                          std::size_t m, std::size_t k, std::size_t n,
                          const GemmEpilogue& epilogue, MicroFn micro) {
   if (m == 0 || n == 0) return;
-  if (k == 0 || m * n * k < kBlockedBypassFlops) {
-    gemm_reference(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue);
+  if (m * n * k < kBlockedBypassFlops) {
+    gemm_small(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue);
     return;
   }
 
-  const std::size_t a_strips = (kMC + kMR - 1) / kMR;
-  const std::size_t b_strips = (kNC + kNR - 1) / kNR;
-  std::vector<float> apack(a_strips * kKC * kMR);
-  std::vector<float> bpack(b_strips * kKC * kNR);
+  // Sized to this call's largest cache block, so small products never
+  // touch (or fault in) the full kMC x kKC / kKC x kNC footprint.
+  const std::size_t kc_max = std::min(k, kKC);
+  const std::size_t a_strips = (std::min(m, kMC) + kMR - 1) / kMR;
+  const std::size_t b_strips = (std::min(n, kNC) + kNR - 1) / kNR;
+  thread_local PackArena a_arena;
+  thread_local PackArena b_arena;
+  float* const apack = a_arena.reserve(a_strips * kc_max * kMR);
+  float* const bpack = b_arena.reserve(b_strips * kc_max * kNR);
   const GemmEpilogue no_epilogue{};
 
   for (std::size_t jc = 0; jc < n; jc += kNC) {
@@ -110,7 +166,7 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
       for (std::size_t js = 0; js < njs; ++js) {
         const std::size_t j0 = jc + js * kNR;
         const std::size_t nr = std::min<std::size_t>(kNR, n - j0);
-        float* dst = bpack.data() + js * kc * kNR;
+        float* dst = bpack + js * kc * kNR;
         for (std::size_t kk = 0; kk < kc; ++kk) {
           const float* b_row =
               b + static_cast<std::ptrdiff_t>(kc0 + kk) * b_rs;
@@ -131,7 +187,7 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
         for (std::size_t is = 0; is < nis; ++is) {
           const std::size_t i0 = ic + is * kMR;
           const std::size_t mr = std::min<std::size_t>(kMR, m - i0);
-          float* dst = apack.data() + is * kc * kMR;
+          float* dst = apack + is * kc * kMR;
           for (std::size_t kk = 0; kk < kc; ++kk) {
             const float* a_col =
                 a + static_cast<std::ptrdiff_t>(kc0 + kk) * a_cs;
@@ -147,11 +203,11 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
         for (std::size_t js = 0; js < njs; ++js) {
           const std::size_t j0 = jc + js * kNR;
           const std::size_t nr = std::min<std::size_t>(kNR, n - j0);
-          const float* bp = bpack.data() + js * kc * kNR;
+          const float* bp = bpack + js * kc * kNR;
           for (std::size_t is = 0; is < nis; ++is) {
             const std::size_t i0 = ic + is * kMR;
             const std::size_t mr = std::min<std::size_t>(kMR, m - i0);
-            const float* ap = apack.data() + is * kc * kMR;
+            const float* ap = apack + is * kc * kMR;
 
             alignas(64) float acc[kMR * kNR];
             if (first) {
@@ -172,9 +228,8 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
 
             for (std::size_t r = 0; r < mr; ++r) {
               float* c_row = c + (i0 + r) * n + j0;
-              for (std::size_t j = 0; j < nr; ++j) {
-                c_row[j] = apply_epilogue(acc[r * kNR + j], ep, j0 + j);
-              }
+              std::memcpy(c_row, acc + r * kNR, nr * sizeof(float));
+              apply_epilogue_row(c_row, nr, ep, j0);
             }
           }
         }

@@ -59,8 +59,43 @@ inline float apply_epilogue(float v, const GemmEpilogue& ep, std::size_t j) {
   return v;
 }
 
-// Shared by reference and the small-shape bypass: one output element as the
-// canonical k-ascending fma chain.
+// apply_epilogue over the contiguous columns [j0, j0 + count) of one row,
+// one stage at a time: every element still takes apply_epilogue's stages in
+// its order with the same operations, so the result is bitwise identical,
+// but each stage loop is branch-free and vectorises.
+inline void apply_epilogue_row(float* v, std::size_t count,
+                               const GemmEpilogue& ep, std::size_t j0) {
+  if (ep.bias != nullptr) {
+    const float* bias = ep.bias + j0;
+    for (std::size_t j = 0; j < count; ++j) v[j] += bias[j];
+  }
+  if (ep.norm_mean != nullptr) {
+    const float* mean = ep.norm_mean + j0;
+    const float* sd = ep.norm_std + j0;
+    const float* gamma = ep.norm_gamma + j0;
+    const float* beta = ep.norm_beta + j0;
+    for (std::size_t j = 0; j < count; ++j) {
+      v[j] = gamma[j] * ((v[j] - mean[j]) / sd[j]) + beta[j];
+    }
+  }
+  switch (ep.act) {
+    case Activation::kNone:
+      break;
+    case Activation::kRelu:
+      for (std::size_t j = 0; j < count; ++j) {
+        v[j] = v[j] < 0.0f ? 0.0f : v[j];
+      }
+      break;
+    case Activation::kLeakyRelu:
+      for (std::size_t j = 0; j < count; ++j) {
+        v[j] = v[j] < 0.0f ? v[j] * ep.alpha : v[j];
+      }
+      break;
+  }
+}
+
+// The reference kernel's element: one output as the canonical k-ascending
+// fma chain.
 inline float dot_fma(const float* a_row, std::ptrdiff_t a_cs,
                      const float* b_col, std::ptrdiff_t b_rs, std::size_t k) {
   float acc = 0.0f;

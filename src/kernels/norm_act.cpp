@@ -17,10 +17,7 @@ void norm_act_inplace(float* c, std::size_t rows, std::size_t cols,
   span.arg("rows", static_cast<std::uint64_t>(rows))
       .arg("cols", static_cast<std::uint64_t>(cols));
   for (std::size_t i = 0; i < rows; ++i) {
-    float* row = c + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      row[j] = detail::apply_epilogue(row[j], epilogue, j);
-    }
+    detail::apply_epilogue_row(c + i * cols, cols, epilogue, 0);
   }
 }
 

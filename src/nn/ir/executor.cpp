@@ -1,6 +1,7 @@
 #include "nn/ir/executor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -52,6 +53,12 @@ EpiloguePlan plan_epilogue(const Node& n, const std::vector<float>& norm_std) {
   return p;
 }
 
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
 /// Bitwise-identical to GlobalMaxPool1D::forward(x, /*training=*/false).
 void global_max_pool(const float* in, float* out, std::size_t rows,
                      std::size_t length, std::size_t channels) {
@@ -84,7 +91,7 @@ Executor::Executor(std::shared_ptr<const Graph> graph)
     slot_of_[i] = planned ? nodes[i].slot : static_cast<int>(slot_count++);
   }
   slots_.resize(slot_count);
-  norm_std_.resize(nodes.size());
+  norm_cache_.resize(nodes.size());
   node_obs_.resize(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i].kind == OpKind::kInput) continue;
@@ -114,15 +121,24 @@ Mat Executor::run(const Mat& x) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
 
   // Refresh the only derived parameters.  Everything else is referenced
-  // live, so training steps / checkpoint loads need no cache invalidation;
-  // recomputing features-many sqrts per run is noise next to the GEMMs.
+  // live; the sqrts are recomputed only when the running var or eps differ
+  // (bitwise) from what this executor last derived them from, so training
+  // steps and checkpoint loads still flow in with no explicit invalidation.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Node& n = nodes[i];
     if (!n.norm.valid()) continue;
     const std::vector<float>& var = *n.norm.var;
-    norm_std_[i].resize(var.size());
+    NormCache& cache = norm_cache_[i];
+    if (same_bits(cache.var, var) &&
+        std::bit_cast<std::uint32_t>(cache.eps) ==
+            std::bit_cast<std::uint32_t>(n.norm.eps)) {
+      continue;
+    }
+    cache.var = var;
+    cache.eps = n.norm.eps;
+    cache.std.resize(var.size());
     for (std::size_t j = 0; j < var.size(); ++j) {
-      norm_std_[i][j] = std::sqrt(var[j] + n.norm.eps);
+      cache.std[j] = std::sqrt(var[j] + n.norm.eps);
     }
   }
 
@@ -146,14 +162,14 @@ Mat Executor::run(const Mat& x) {
 
     switch (n.kind) {
       case OpKind::kDense: {
-        const EpiloguePlan ep = plan_epilogue(n, norm_std_[i]);
+        const EpiloguePlan ep = plan_epilogue(n, norm_cache_[i].std);
         gemm_rows(in, static_cast<std::ptrdiff_t>(n.in_width), 1,
                   n.weights->data(), static_cast<std::ptrdiff_t>(out_w), 1,
                   out, rows, n.in_width, out_w, ep.main);
         break;
       }
       case OpKind::kConv1D: {
-        const EpiloguePlan ep = plan_epilogue(n, norm_std_[i]);
+        const EpiloguePlan ep = plan_epilogue(n, norm_cache_[i].std);
         const std::size_t in_w = n.length * n.cin;
         const auto conv_rows = [&](std::size_t r0, std::size_t r1) {
           if (r0 >= r1) return;
@@ -167,6 +183,12 @@ Mat Executor::run(const Mat& x) {
           kernels::conv1d_forward(in + r0 * in_w, out + r0 * out_w, s,
                                   n.weights->data(), ep.main, n.conv_algo,
                                   need > 0 ? scratch.data() : nullptr);
+          // The post-GEMM stages are per element, so each chunk finishes
+          // its own rows while they are still in cache.
+          if (ep.has_post) {
+            kernels::norm_act_inplace(out + r0 * out_w, r1 - r0, out_w,
+                                      ep.post);
+          }
         };
         // A row partition keeps every output element's fma chain intact,
         // so worker count never changes bits (same policy as gemm_rows).
@@ -176,14 +198,11 @@ Mat Executor::run(const Mat& x) {
         } else {
           conv_rows(0, rows);
         }
-        if (ep.has_post) {
-          kernels::norm_act_inplace(out, rows, out_w, ep.post);
-        }
         break;
       }
       case OpKind::kBatchNorm:
       case OpKind::kActivation: {
-        const EpiloguePlan ep = plan_epilogue(n, norm_std_[i]);
+        const EpiloguePlan ep = plan_epilogue(n, norm_cache_[i].std);
         std::memcpy(out, in, rows * out_w * sizeof(float));
         kernels::norm_act_inplace(out, rows, out_w, ep.main);
         break;

@@ -11,11 +11,12 @@
 // concurrent forwards, Sequential keeps a pool of executors and hands one
 // per call.  The graph itself is shared read-only.
 //
-// BatchNorm's per-feature sqrt(running_var + eps) is recomputed into the
-// arena at the start of every run — running stats then flow into the
-// compiled graph with no cache invalidation, and hoisting the sqrt out of
-// the per-element loop is bitwise identical (sqrt and the division are
-// exactly rounded) while removing batch*features sqrt calls per layer.
+// BatchNorm's per-feature sqrt(running_var + eps) is cached per node and
+// recomputed at the start of a run only when the running var or eps differ
+// bitwise from the copy it was derived from — running stats then flow into
+// the compiled graph with no explicit invalidation, and hoisting the sqrt
+// out of the per-element loop is bitwise identical (sqrt and the division
+// are exactly rounded) while removing batch*features sqrt calls per layer.
 #pragma once
 
 #include <memory>
@@ -44,7 +45,14 @@ class Executor {
   std::shared_ptr<const Graph> graph_;
   std::vector<int> slot_of_;                 ///< node id -> slot (-1 = input)
   std::vector<std::vector<float>> slots_;    ///< grow-only output buffers
-  std::vector<std::vector<float>> norm_std_; ///< per node; see file comment
+  /// Per node: sqrt(var + eps) and the (var, eps) it was derived from; see
+  /// the file comment.
+  struct NormCache {
+    std::vector<float> var;
+    float eps = 0.0f;
+    std::vector<float> std;
+  };
+  std::vector<NormCache> norm_cache_;
   /// Per-node observability, resolved once: counter id for
   /// nn.ir.node.<i>.<kind>.forward_ns plus the span name.
   struct NodeObs {

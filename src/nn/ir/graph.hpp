@@ -14,8 +14,8 @@
 // Parameters are referenced, never copied: a compiled graph always sees the
 // current weights, so training steps and gradcheck perturbations need no
 // cache invalidation.  The only derived quantity (BatchNorm's per-feature
-// sqrt(var + eps)) is recomputed by the Executor at the start of every run
-// for the same reason.
+// sqrt(var + eps)) is re-derived by the Executor at the start of any run
+// whose running var or eps changed since its last one.
 //
 // Optimisation passes (nn/ir/pass.hpp) annotate nodes (fused_bn /
 // fused_act / conv_algo / slot) and mark replaced nodes dead; compact()

@@ -14,6 +14,7 @@
 #include "core/model_io.hpp"
 #include "core/targets.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -134,6 +135,28 @@ TEST(Targets, GimliHashPrefixedStillDistinguishable) {
   const GimliHashTarget target(3, {4, 12}, 7);
   const TrainReport rep = dist.train(target, 400);
   EXPECT_GT(rep.val_accuracy, 0.9);
+}
+
+// fit.threads reports the fan-out the fit really had: the process-wide pool
+// at top level, 1 when training runs inline inside a parallel region (as in
+// campaign cells and the online-game fan-out).
+TEST(Distinguisher, FitTelemetryReportsThreadsActuallyUsed) {
+  const GimliHashTarget target(2);
+  const auto train_once = [&] {
+    Xoshiro256 rng(43);
+    DistinguisherOptions opt;
+    opt.epochs = 1;
+    MLDistinguisher dist(build_default_mlp(128, 2, rng), opt);
+    return dist.train(target, 200).fit.threads;
+  };
+  using mldist::util::ThreadPool;
+  EXPECT_EQ(train_once(), ThreadPool::global().thread_count());
+  std::size_t nested = 0;
+  ThreadPool pool(2);
+  pool.parallel_for(1, [&](std::size_t, std::size_t) {
+    nested = train_once();
+  });
+  EXPECT_EQ(nested, 1u);
 }
 
 // ---------------------------------------------------------------------------

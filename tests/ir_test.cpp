@@ -9,6 +9,7 @@
 // sequences that are bitwise identical per element (see DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arch_zoo.hpp"
 #include "kernels/conv1d.hpp"
 #include "kernels/dispatch.hpp"
 #include "nn/activations.hpp"
@@ -27,8 +29,10 @@
 #include "nn/ir/executor.hpp"
 #include "nn/ir/graph.hpp"
 #include "nn/ir/pass.hpp"
+#include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/model.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/residual.hpp"
 #include "nn/serialize.hpp"
 #include "util/crc32.hpp"
@@ -94,8 +98,9 @@ std::unique_ptr<nn::Sequential> build_zoo_model(Xoshiro256& rng) {
 
 /// Make the BatchNorm running statistics non-trivial (fresh models have
 /// mean 0 / var 1, which would mask mean/var indexing bugs).
-void warm_running_stats(nn::Sequential& model, Xoshiro256& rng) {
-  const nn::Mat x = random_input(16, 12, rng);
+void warm_running_stats(nn::Sequential& model, Xoshiro256& rng,
+                        std::size_t input_width = 12) {
+  const nn::Mat x = random_input(16, input_width, rng);
   for (int i = 0; i < 3; ++i) (void)model.forward(x, /*training=*/true);
 }
 
@@ -228,6 +233,52 @@ TEST(IrExecutor, MatchesReferenceForwardAllBackends) {
         std::string("warm-arena impl=") + kernels::impl_name(impl));
   }
   kernels::set_dispatch(kStartupImpl);
+}
+
+// The served model: gohr-net/16 on a 64-bit input.  Eight rows cross the
+// conv row-parallel threshold (each chunk applies its own BN+ReLU
+// epilogue), one row does not; both must agree with each other and with
+// the layer-by-layer reference.  A training step then moves the BN running
+// stats, and inference must follow them (the sqrt cache invalidates).
+TEST(IrExecutor, GohrNetBatchMatchesBatchOneAndFollowsTraining) {
+  Xoshiro256 rng(10);
+  auto model = core::build_gohr_net(64, 2, 16, rng);
+  const nn::Mat x = random_input(8, 64, rng);
+  const auto expect_matches_reference = [&](const std::string& what) {
+    const nn::Mat want = model->forward_reference(x);
+    expect_mat_bitwise_equal(model->forward(x, /*training=*/false), want,
+                             what + " batch-8");
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      nn::Mat row(1, x.cols());
+      std::copy(x.data() + r * x.cols(), x.data() + (r + 1) * x.cols(),
+                row.data());
+      nn::Mat want_row(1, want.cols());
+      std::copy(want.data() + r * want.cols(),
+                want.data() + (r + 1) * want.cols(), want_row.data());
+      expect_mat_bitwise_equal(model->forward(row, /*training=*/false),
+                               want_row,
+                               what + " batch-1 row " + std::to_string(r));
+    }
+    EXPECT_EQ(model->predict(x), nn::argmax_rows(want)) << what;
+  };
+
+  warm_running_stats(*model, rng, 64);
+  for (Impl impl : kernels::available_impls()) {
+    kernels::set_dispatch(impl);
+    expect_matches_reference(std::string("impl=") + kernels::impl_name(impl));
+  }
+  kernels::set_dispatch(kStartupImpl);
+
+  nn::Dataset train;
+  train.x = random_input(16, 64, rng);
+  train.y.resize(train.x.rows());
+  for (auto& y : train.y) y = static_cast<int>(rng.next_below(2));
+  nn::Adam adam;
+  nn::FitOptions fit;
+  fit.epochs = 1;
+  fit.batch_size = 16;
+  (void)model->fit(train, adam, fit);
+  expect_matches_reference("after a training step");
 }
 
 TEST(IrExecutor, LstmOpaqueDelegationMatchesReference) {

@@ -15,7 +15,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -38,6 +40,7 @@
 #include "nn/model.hpp"
 #include "nn/residual.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -129,12 +132,16 @@ struct Shape {
 
 // Adversarial shapes: degenerate, tall/skinny, exact register-tile
 // multiples (6x16 micro-tile), off-by-one around tile and cache-block
-// (KC=256, MC=126, NC=512) boundaries.
+// (KC=256, MC=126, NC=512) boundaries, both sides of the small-product
+// bypass (m*k*n = 32^3 - 1 and 32^3), k = 1 on both paths, and the
+// batch-1 gohr-net conv products (2x96x32 border, 62x96x32 interior).
 const Shape kShapes[] = {
     {1, 1, 1},    {1, 7, 1},    {7, 1, 3},     {1, 1, 64},   {64, 1, 1},
     {2, 300, 2},  {300, 2, 2},  {2, 2, 300},   {6, 32, 16},  {12, 64, 32},
     {5, 33, 17},  {7, 255, 15}, {13, 256, 16}, {19, 257, 33}, {126, 40, 16},
-    {127, 33, 31}, {31, 513, 9}, {64, 100, 520},
+    {127, 33, 31}, {31, 513, 9}, {64, 100, 520}, {31, 151, 7}, {7, 31, 151},
+    {32, 32, 32}, {8, 64, 64},  {64, 1, 32},   {128, 1, 300}, {2, 96, 32},
+    {62, 96, 32}, {40, 30, 31},
 };
 
 void run_gemm_all_impls(std::size_t m, std::size_t k, std::size_t n,
@@ -248,6 +255,147 @@ TEST(GemmEquivalence, FusedMatchesUnfused) {
     expect_bitwise_equal(fused, unfused,
                          std::string("fused-vs-unfused impl=") +
                              kernels::impl_name(impl));
+  }
+}
+
+// Every epilogue stage on both paths, with NaN and -0 reaching the
+// epilogue.  Each output element meets at most one NaN source, so the
+// expected NaN is that source's bits whatever the instruction's operand
+// order; -0 comes from gamma = -0 with beta = -0, which ReLU and LeakyReLU
+// must pass through unchanged.
+TEST(GemmEquivalence, EpiloguesWithNanAndNegativeZeroLanes) {
+  Xoshiro256 rng(0x88);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Shape& s : {Shape{2, 96, 32}, Shape{31, 151, 7},
+                         Shape{62, 96, 32}, Shape{19, 257, 33}}) {
+    const auto b = random_floats(s.k * s.n, rng);
+    auto bias = random_floats(s.n, rng);
+    auto mean = random_floats(s.n, rng);
+    auto gamma = random_floats(s.n, rng);
+    auto beta = random_floats(s.n, rng);
+    std::vector<float> sd(s.n);
+    for (auto& v : sd) v = 0.5f + static_cast<float>(rng.next_double());
+    // Column 0: a positive normalised value under a -0 scale and shift, so
+    // every finite row ends at -0.  Columns 1..4: one NaN per column, each
+    // in a different stage.  Column 5: a -0 bias.
+    mean[0] = -1e30f;
+    gamma[0] = -0.0f;
+    beta[0] = -0.0f;
+    const std::size_t last = s.n - 1;
+    std::vector<float> nan_bias = bias, nan_mean = mean, nan_gamma = gamma,
+                       nan_beta = beta;
+    nan_bias[std::min<std::size_t>(1, last)] = nan;
+    nan_mean[std::min<std::size_t>(2, last)] = nan;
+    nan_gamma[std::min<std::size_t>(3, last)] = nan;
+    nan_beta[std::min<std::size_t>(4, last)] = nan;
+    bias[std::min<std::size_t>(5, last)] = -0.0f;
+
+    // Two operand sets: finite A with NaN epilogue columns, and A with one
+    // NaN per odd row under finite epilogue arrays.
+    const auto a_finite = random_floats(s.m * s.k, rng);
+    auto a_nan = random_floats(s.m * s.k, rng);
+    for (std::size_t i = 1; i < s.m; i += 2) a_nan[i * s.k + i % s.k] = nan;
+
+    for (kernels::Activation act :
+         {kernels::Activation::kNone, kernels::Activation::kRelu,
+          kernels::Activation::kLeakyRelu}) {
+      for (int variant = 0; variant < 4; ++variant) {
+        const bool nan_epilogue = variant % 2 == 0;
+        const bool with_norm = variant < 2;
+        kernels::GemmEpilogue ep;
+        ep.bias = nan_epilogue ? nan_bias.data() : bias.data();
+        if (with_norm) {
+          ep.norm_mean = nan_epilogue ? nan_mean.data() : mean.data();
+          ep.norm_std = sd.data();
+          ep.norm_gamma = nan_epilogue ? nan_gamma.data() : gamma.data();
+          ep.norm_beta = nan_epilogue ? nan_beta.data() : beta.data();
+        }
+        ep.act = act;
+        ep.alpha = 0.3f;
+        const auto& a = nan_epilogue ? a_finite : a_nan;
+        const std::string what =
+            "m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
+            " n=" + std::to_string(s.n) + " act=" +
+            std::to_string(static_cast<int>(act)) + " variant=" +
+            std::to_string(variant);
+
+        std::vector<float> want(s.m * s.n);
+        kernels::gemm_impl(Impl::kReference, a.data(),
+                           static_cast<std::ptrdiff_t>(s.k), 1, b.data(),
+                           static_cast<std::ptrdiff_t>(s.n), 1, want.data(),
+                           s.m, s.k, s.n, ep);
+        std::size_t nans = 0, neg_zeros = 0;
+        for (float v : want) {
+          nans += std::isnan(v) ? 1u : 0u;
+          neg_zeros += bits_of(v) == bits_of(-0.0f) ? 1u : 0u;
+        }
+        EXPECT_GT(nans, 0u) << what;
+        if (with_norm) {
+          EXPECT_GT(neg_zeros, 0u) << what;
+        }
+        run_gemm_all_impls(s.m, s.k, s.n, static_cast<std::ptrdiff_t>(s.k), 1,
+                           static_cast<std::ptrdiff_t>(s.n), 1, a, b, ep,
+                           what);
+      }
+    }
+  }
+}
+
+// The packing buffers are per-thread grow-only arenas that are never
+// cleared.  Whatever a thread ran before — a product that grew both arenas
+// past every cache block, a small product, a multi-k-block product whose
+// partial sums resume from C — every call must still equal the reference.
+TEST(GemmEquivalence, PackArenaReuseOnOneThreadAndPoolWorkers) {
+  Xoshiro256 rng(0x99);
+  struct Case {
+    Shape s;
+    std::vector<float> a, b, want;
+  };
+  std::vector<Case> cases;
+  for (const Shape& s : {Shape{40, 40, 40},      // packed, below every block
+                         Shape{130, 300, 530},   // past kMC, kKC and kNC
+                         Shape{5, 33, 17},       // small-product path
+                         Shape{19, 600, 33}}) {  // k > kKC: C-resume path
+    Case c{s, random_floats(s.m * s.k, rng), random_floats(s.k * s.n, rng),
+           std::vector<float>(s.m * s.n)};
+    kernels::gemm_impl(Impl::kReference, c.a.data(),
+                       static_cast<std::ptrdiff_t>(s.k), 1, c.b.data(),
+                       static_cast<std::ptrdiff_t>(s.n), 1, c.want.data(), s.m,
+                       s.k, s.n);
+    cases.push_back(std::move(c));
+  }
+  // Runs the whole sequence twice on the calling thread; true when every
+  // call matched the reference bit for bit.
+  const auto sequence_matches = [&](Impl impl) {
+    bool ok = true;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Case& c : cases) {
+        std::vector<float> got(c.want.size(), -1.0f);
+        kernels::gemm_impl(impl, c.a.data(),
+                           static_cast<std::ptrdiff_t>(c.s.k), 1, c.b.data(),
+                           static_cast<std::ptrdiff_t>(c.s.n), 1, got.data(),
+                           c.s.m, c.s.k, c.s.n);
+        ok = ok && std::memcmp(got.data(), c.want.data(),
+                               got.size() * sizeof(float)) == 0;
+      }
+    }
+    return ok;
+  };
+  for (Impl impl : kernels::available_impls()) {
+    const std::string tag = kernels::impl_name(impl);
+    EXPECT_TRUE(sequence_matches(impl)) << "calling thread impl=" << tag;
+    // One chunk per worker: each pool thread runs the sequence with its
+    // own arenas.
+    util::ThreadPool pool(3);
+    std::vector<char> worker_ok(pool.thread_count(), 0);
+    pool.parallel_for(worker_ok.size(), [&](std::size_t b0, std::size_t b1) {
+      for (std::size_t w = b0; w < b1; ++w) {
+        worker_ok[w] = sequence_matches(impl) ? 1 : 0;
+      }
+    });
+    for (std::size_t w = 0; w < worker_ok.size(); ++w) {
+      EXPECT_TRUE(worker_ok[w]) << "pool chunk " << w << " impl=" << tag;
+    }
   }
 }
 
