@@ -38,8 +38,9 @@
 #include "nn/model.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
-#include "obs/server.hpp"
 #include "obs/trace.hpp"
+#include "serve/daemon.hpp"
+#include "serve/registry.hpp"
 #include "util/json.hpp"
 
 namespace mldist::bench {
@@ -62,10 +63,13 @@ struct Options {
   }
 };
 
-/// The bench-wide metrics server, started by --serve-metrics and alive for
-/// the rest of the process (stopped by its destructor at exit).
-inline obs::MetricsServer& metrics_server() {
-  static obs::MetricsServer server;
+/// The bench-wide metrics endpoint: a daemon with no models, started by
+/// --serve-metrics and alive for the rest of the process (stopped by its
+/// destructor at exit).  The registry is constructed first, so it is
+/// destroyed after the daemon that reads it.
+inline serve::ServeDaemon& metrics_server() {
+  static const serve::ModelRegistry no_models;
+  static serve::ServeDaemon server(no_models);
   return server;
 }
 
@@ -94,9 +98,10 @@ inline Options parse_options(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       obs::Tracer::global().enable(argv[++i]);
     } else if (std::strcmp(argv[i], "--serve-metrics") == 0 && i + 1 < argc) {
-      const int port = std::atoi(argv[++i]);
+      serve::ServeOptions sopt;
+      sopt.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
       std::string error;
-      if (!metrics_server().start(static_cast<std::uint16_t>(port), &error)) {
+      if (!metrics_server().start(sopt, &error)) {
         std::fprintf(stderr, "--serve-metrics: %s\n", error.c_str());
         std::exit(2);
       }

@@ -39,7 +39,6 @@
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/server.hpp"
 #include "obs/signal.hpp"
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
@@ -621,12 +620,16 @@ int main(int argc, char** argv) {
       /*exit_immediately=*/args.command != "campaign" &&
       args.command != "serve");
   // Live observability (off by default): /metrics, /healthz and /runz for
-  // the duration of the run.  The server thread only ever reads snapshots,
-  // so it cannot perturb the pipeline's determinism.
-  obs::MetricsServer server;
+  // the duration of the run, served by a daemon with no models.  Its loop
+  // only ever reads snapshots, so it cannot perturb the pipeline's
+  // determinism.  The registry is declared first so it outlives the daemon.
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
   if (args.serve_port >= 0) {
+    serve::ServeOptions sopt;
+    sopt.port = static_cast<std::uint16_t>(args.serve_port);
     std::string error;
-    if (!server.start(static_cast<std::uint16_t>(args.serve_port), &error)) {
+    if (!server.start(sopt, &error)) {
       return report_error(args.json, "config", "--serve-metrics: " + error,
                           kExitConfig);
     }

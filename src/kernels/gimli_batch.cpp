@@ -1,10 +1,11 @@
 #include "kernels/gimli_batch.hpp"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "kernels/gimli_batch_internal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -13,15 +14,16 @@ namespace mldist::kernels {
 namespace {
 
 /// kernels.gimli.{calls,states,rounds}.<impl> — same shape as the GEMM
-/// tallies: deterministic quantities, sharded lock-free recording.
+/// tallies: deterministic quantities, sharded lock-free recording.  Only
+/// the two sweeps that exist are named; avx2 dispatch counts as blocked.
 struct GimliMetrics {
-  obs::MetricId calls[3];
-  obs::MetricId states[3];
-  obs::MetricId rounds[3];
+  obs::MetricId calls[2];
+  obs::MetricId states[2];
+  obs::MetricId rounds[2];
 
   GimliMetrics() {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    for (Impl impl : {Impl::kReference, Impl::kBlocked, Impl::kAvx2}) {
+    for (Impl impl : {Impl::kReference, Impl::kBlocked}) {
       const auto i = static_cast<std::size_t>(impl);
       const std::string suffix = impl_name(impl);
       calls[i] = reg.counter("kernels.gimli.calls." + suffix);
@@ -31,9 +33,35 @@ struct GimliMetrics {
   }
 };
 
-}  // namespace
-namespace detail {
-namespace {
+constexpr std::uint32_t kGimliRcBase = 0x9e377900u;
+
+/// Rounds hi..lo on a single state whose word w lives at words[w * stride]
+/// (stride = n for a state embedded in an SoA block): the reference sweep,
+/// and the remainder-lane handler of the blocked one.
+void gimli_rounds_one(std::uint32_t* words, std::size_t stride, int hi,
+                      int lo) {
+  std::uint32_t s[12];
+  for (int w = 0; w < 12; ++w) s[w] = words[static_cast<std::size_t>(w) * stride];
+  for (int r = hi; r >= lo; --r) {
+    for (int j = 0; j < 4; ++j) {
+      const std::uint32_t x = std::rotl(s[j], 24);
+      const std::uint32_t y = std::rotl(s[4 + j], 9);
+      const std::uint32_t z = s[8 + j];
+      s[8 + j] = x ^ (z << 1) ^ ((y & z) << 2);
+      s[4 + j] = y ^ x ^ ((x | z) << 1);
+      s[j] = z ^ y ^ ((x & y) << 3);
+    }
+    if (r % 4 == 0) {
+      std::swap(s[0], s[1]);
+      std::swap(s[2], s[3]);
+      s[0] ^= kGimliRcBase ^ static_cast<std::uint32_t>(r);
+    } else if (r % 4 == 2) {
+      std::swap(s[0], s[2]);
+      std::swap(s[1], s[3]);
+    }
+  }
+  for (int w = 0; w < 12; ++w) words[static_cast<std::size_t>(w) * stride] = s[w];
+}
 
 // Lane-blocked sweep: pull L states into a 12xL register block, run the
 // whole round window there (swaps become register/array renames), store
@@ -77,8 +105,6 @@ void gimli_rounds_lanes(std::uint32_t* soa, std::size_t n, std::size_t s0,
   }
 }
 
-}  // namespace
-
 void gimli_batch_reference(std::uint32_t* soa, std::size_t n, int hi,
                            int lo) {
   for (std::size_t s = 0; s < n; ++s) gimli_rounds_one(soa + s, n, hi, lo);
@@ -93,7 +119,7 @@ void gimli_batch_blocked(std::uint32_t* soa, std::size_t n, int hi, int lo) {
   for (; s < n; ++s) gimli_rounds_one(soa + s, n, hi, lo);
 }
 
-}  // namespace detail
+}  // namespace
 
 void gimli_rounds_batch_impl(Impl impl, std::uint32_t* soa, std::size_t n,
                              int hi, int lo) {
@@ -104,28 +130,25 @@ void gimli_rounds_batch_impl(Impl impl, std::uint32_t* soa, std::size_t n,
                                 impl_name(impl) +
                                 "' is not supported on this machine");
   }
+  // The integer sweep has no SIMD variant of its own: the blocked sweep
+  // autovectorises, so avx2 dispatch runs it and telemetry names it.
+  const Impl ran = impl == Impl::kReference ? Impl::kReference : Impl::kBlocked;
   {
     static const GimliMetrics metrics;
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    const auto i = static_cast<std::size_t>(impl);
+    const auto i = static_cast<std::size_t>(ran);
     reg.add(metrics.calls[i]);
     reg.add(metrics.states[i], n);
     reg.add(metrics.rounds[i], n * static_cast<std::size_t>(hi - lo + 1));
   }
   obs::Span span("gimli", "kernels");
-  span.arg("impl", impl_name(impl))
+  span.arg("impl", impl_name(ran))
       .arg("states", static_cast<std::uint64_t>(n))
       .arg("rounds", hi - lo + 1);
-  switch (impl) {
-    case Impl::kReference:
-      detail::gimli_batch_reference(soa, n, hi, lo);
-      return;
-    case Impl::kBlocked:
-      detail::gimli_batch_blocked(soa, n, hi, lo);
-      return;
-    case Impl::kAvx2:
-      detail::gimli_batch_avx2(soa, n, hi, lo);
-      return;
+  if (ran == Impl::kReference) {
+    gimli_batch_reference(soa, n, hi, lo);
+  } else {
+    gimli_batch_blocked(soa, n, hi, lo);
   }
 }
 

@@ -26,16 +26,10 @@ namespace mldist::kernels {
 void gimli_rounds_batch(std::uint32_t* soa, std::size_t n, int hi, int lo);
 
 /// Same with an explicit implementation (throws std::invalid_argument when
-/// unsupported on this machine).
+/// unsupported on this machine).  Two sweeps exist: reference runs the
+/// scalar rounds state by state, blocked and avx2 both run the 16-lane
+/// blocked sweep (counted under kernels.gimli.*.blocked).
 void gimli_rounds_batch_impl(Impl impl, std::uint32_t* soa, std::size_t n,
                              int hi, int lo);
-
-namespace detail {
-
-void gimli_batch_reference(std::uint32_t* soa, std::size_t n, int hi, int lo);
-void gimli_batch_blocked(std::uint32_t* soa, std::size_t n, int hi, int lo);
-void gimli_batch_avx2(std::uint32_t* soa, std::size_t n, int hi, int lo);
-
-}  // namespace detail
 
 }  // namespace mldist::kernels

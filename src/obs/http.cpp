@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -70,13 +69,6 @@ int accept_cloexec(int listen_fd) {
   if (fd >= 0) set_cloexec(fd);
 #endif
   return fd;
-}
-
-void set_recv_timeout(int fd, int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 void send_all(int fd, const std::string& data) {

@@ -1,7 +1,7 @@
-// Shared HTTP/1.1 plumbing for the embedded endpoints: the metrics server
-// (obs/server.hpp) and the serving daemon (src/serve) speak the same tiny
-// dialect, so the socket setup, the request reader and the response
-// formatter live here once.
+// HTTP/1.1 plumbing for the one embedded server loop, serve::ServeDaemon
+// (src/serve/daemon.hpp): the socket setup, the request reader and the
+// response formatter.  The --serve-metrics endpoint is that daemon over an
+// empty model registry, so /metrics, /healthz and /runz share the loop.
 //
 // Scope is deliberately small — enough HTTP for curl, a Prometheus scraper
 // and the JSON classify clients: request line + headers + an optional
@@ -38,10 +38,6 @@ int listen_tcp(std::uint16_t port, int backlog, std::uint16_t* bound_port,
 /// SOCK_CLOEXEC where available, else accept + fcntl).  Returns -1 on
 /// failure (errno preserved).
 int accept_cloexec(int listen_fd);
-
-/// Set SO_RCVTIMEO so a blocking recv on `fd` returns EAGAIN after
-/// `timeout_ms` instead of stalling the caller forever.
-void set_recv_timeout(int fd, int timeout_ms);
 
 /// Write all of `data`, retrying short writes; gives up silently when the
 /// client goes away (MSG_NOSIGNAL — no SIGPIPE).

@@ -18,6 +18,11 @@
 //   GET  /healthz       {"status":"ok","models":N,...}
 //   GET  /runz          obs::RunStatus (phase "serve")
 //
+// Over an empty registry the daemon is the metrics endpoint that
+// --serve-metrics starts on mldist_cli and every bench: same loop, same
+// routes, no workers, and RunStatus (phase, /runz detail) left to the run
+// it watches.
+//
 // Connection lifecycle: the event loop owns a connection while reading and
 // while writing inline responses (non-blocking, POLLOUT-driven).  A
 // classify request that clears admission control transfers its fd to the

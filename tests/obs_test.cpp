@@ -34,10 +34,11 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/http.hpp"
-#include "obs/server.hpp"
 #include "obs/ship.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_merge.hpp"
+#include "serve/daemon.hpp"
+#include "serve/registry.hpp"
 #include "util/process.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -780,7 +781,8 @@ TEST(Export, RenderedSnapshotPassesGrammar) {
 }
 
 // ---------------------------------------------------------------------------
-// embedded HTTP server — raw-socket client, same protocol as curl
+// the --serve-metrics endpoint (a serve::ServeDaemon with no models) —
+// raw-socket client, same protocol as curl
 // ---------------------------------------------------------------------------
 
 struct HttpResponse {
@@ -819,15 +821,20 @@ HttpResponse http_get(std::uint16_t port, const std::string& path) {
   return res;
 }
 
+// The --serve-metrics endpoint is a serving daemon over an empty model
+// registry (the registry is declared first so it outlives the daemon).
+// These tests drive that daemon's poll loop the way a scraper does.
 TEST(Server, ServesMetricsHealthzRunzAnd404) {
-  obs::MetricsServer server;
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
   std::string error;
-  ASSERT_TRUE(server.start(0, &error)) << error;  // ephemeral port
-  ASSERT_NE(server.port(), 0);
+  ASSERT_TRUE(server.start(serve::ServeOptions{}, &error)) << error;
+  ASSERT_NE(server.port(), 0);  // ephemeral port resolved
 
   const HttpResponse health = http_get(server.port(), "/healthz");
   EXPECT_EQ(health.status, 200);
   EXPECT_NE(health.body.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(health.body.find("\"models\":0"), std::string::npos);
   EXPECT_NE(health.body.find("\"uptime_ns\""), std::string::npos);
 
   obs::RunStatus::global().set_phase("obs_test_server");
@@ -853,12 +860,37 @@ TEST(Server, ServesMetricsHealthzRunzAnd404) {
 }
 
 TEST(Server, DoubleStartIsHarmlessAndPortIsStable) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
+  ASSERT_TRUE(server.start(serve::ServeOptions{}));
   const std::uint16_t port = server.port();
-  EXPECT_TRUE(server.start(0));  // already running -> true, same port
+  // Already running -> true, same port.
+  EXPECT_TRUE(server.start(serve::ServeOptions{}));
   EXPECT_EQ(server.port(), port);
   server.stop();
+}
+
+// The metrics endpoint runs beside a train or campaign that owns RunStatus.
+// A daemon with no models must neither stamp its own phase nor replace or
+// clear the /runz detail, on start() or on stop().
+TEST(Server, ModelLessDaemonLeavesRunStatusAsSet) {
+  obs::RunStatus& status = obs::RunStatus::global();
+  status.set_phase("campaign");
+  status.set_detail_provider([] { return std::string("{\"owner\":1}"); });
+  const std::string before = status.to_json();
+  {
+    const serve::ModelRegistry no_models;
+    serve::ServeDaemon server(no_models);
+    EXPECT_TRUE(server.start(serve::ServeOptions{}));
+    EXPECT_STREQ(status.phase(), "campaign");
+    EXPECT_EQ(status.to_json(), before);
+    EXPECT_EQ(http_get(server.port(), "/runz").body, before + "\n");
+    server.stop();
+    EXPECT_STREQ(status.phase(), "campaign");
+    EXPECT_EQ(status.to_json(), before);
+  }
+  status.set_detail_provider(nullptr);
+  status.set_phase("idle");
 }
 
 // The acceptance check of the tentpole: scrape /metrics WHILE a real
@@ -866,9 +898,10 @@ TEST(Server, DoubleStartIsHarmlessAndPortIsStable) {
 // grammar, and require the fit-progress counter to be monotonically
 // increasing across epochs — live observability, not post-hoc.
 TEST(Server, LiveMetricsDuringTrainingAreGrammaticalAndMonotone) {
-  obs::MetricsServer server;
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
   std::string error;
-  ASSERT_TRUE(server.start(0, &error)) << error;
+  ASSERT_TRUE(server.start(serve::ServeOptions{}, &error)) << error;
 
   const core::GimliHashTarget target(4);
   core::CollectOptions copt;
@@ -906,9 +939,8 @@ TEST(Server, LiveMetricsDuringTrainingAreGrammaticalAndMonotone) {
 }
 
 // ---------------------------------------------------------------------------
-// HTTP plane hardening (ISSUE 9): incremental request reassembly, read
-// deadlines instead of indefinite blocking, close-on-exec listen/accept
-// sockets.  Each test here failed against the pre-hardening server.
+// HTTP plane hardening: incremental request reassembly, read deadlines
+// instead of indefinite blocking, close-on-exec listen/accept sockets.
 // ---------------------------------------------------------------------------
 
 int connect_loopback(std::uint16_t port) {
@@ -993,12 +1025,12 @@ TEST(HttpReader, RejectsMalformedOversizedAndExcessInput) {
   }
 }
 
-// Regression (satellite fix): the pre-fix server did one blocking recv and
-// parsed whatever arrived, so a request split across two send(2) calls got
-// truncated.  Now the connection loop reassembles until complete.
+// A request split across two send(2) calls is reassembled by the loop, not
+// parsed from whatever the first recv returned.
 TEST(Server, ReassemblesRequestSplitAcrossTwoSends) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
+  ASSERT_TRUE(server.start(serve::ServeOptions{}));
   const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
   const std::string part1 = "GET /met";
@@ -1013,14 +1045,13 @@ TEST(Server, ReassemblesRequestSplitAcrossTwoSends) {
   server.stop();
 }
 
-// Regression (satellite fix): a client that connects and sends nothing used
-// to park the single server thread in a timeout-less recv, starving every
-// other scraper until the idle client went away.  Now the read deadline
-// answers 408 and the server moves on; a concurrent scrape must succeed
-// while the idle connection is still open.
+// A client that connects and sends nothing is answered 408 at its read
+// deadline, and does not starve other scrapers meanwhile: a concurrent
+// scrape must succeed while the idle connection is still open.
 TEST(Server, IdleClientGets408AndDoesNotStarveScrapes) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
+  ASSERT_TRUE(server.start(serve::ServeOptions{}));
 
   const int idle_fd = connect_loopback(server.port());
   ASSERT_GE(idle_fd, 0);
@@ -1042,8 +1073,9 @@ TEST(Server, IdleClientGets408AndDoesNotStarveScrapes) {
 }
 
 TEST(Server, OversizedHeadersAreRejectedWith431) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
+  ASSERT_TRUE(server.start(serve::ServeOptions{}));
   const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
   const std::string req =
@@ -1055,36 +1087,47 @@ TEST(Server, OversizedHeadersAreRejectedWith431) {
   server.stop();
 }
 
-// Regression (satellite fix): the listen socket used to be created without
-// FD_CLOEXEC, so a worker fork+exec'd while the server ran inherited the
-// bound fd and kept the port alive after stop().  With close-on-exec
-// sockets the port is immediately re-bindable (no SO_REUSEADDR here — the
-// raw bind only succeeds when nothing holds the address).
+// A campaign worker fork+exec'd while the endpoint is live must not inherit
+// its listen socket, or the port would stay bound after this process
+// exits.  Checked on the child itself: once it has exec'd, none of its fds
+// is a socket.  Close-on-exec fds are closed inside execve, before the new
+// image's command line becomes readable.  fds 0-2 are whatever the test
+// runner passed down and are not the daemon's.
 TEST(Server, ListenSocketIsNotInheritedBySpawnedChildren) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
-  const std::uint16_t port = server.port();
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon server(no_models);
+  ASSERT_TRUE(server.start(serve::ServeOptions{}));
 
-  // Child spawned while the server is live: before the fix it inherited
-  // the listen fd across exec.
   const pid_t child = util::spawn_process({"/bin/sleep", "30"});
-  server.stop();
-
-  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(probe, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  const int rc = ::bind(probe, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr));
-  const int bind_errno = errno;
-  ::close(probe);
+  const std::string proc = "/proc/" + std::to_string(child);
+  bool execd = false;
+  for (int i = 0; i < 500 && !execd; ++i) {
+    execd = read_file_text(proc + "/cmdline").rfind("/bin/sleep", 0) == 0;
+    if (!execd) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::error_code ec;
+  std::filesystem::directory_iterator fds(proc + "/fd", ec);
+  const bool listed = !ec;
+  std::vector<std::string> sockets;
+  for (; !ec && fds != std::filesystem::directory_iterator();
+       fds.increment(ec)) {
+    if (std::atoi(fds->path().filename().c_str()) <= 2) continue;
+    std::error_code link_ec;
+    const std::string target =
+        std::filesystem::read_symlink(fds->path(), link_ec).string();
+    if (target.rfind("socket:[", 0) == 0) {
+      sockets.push_back(fds->path().filename().string() + " -> " + target);
+    }
+  }
   util::kill_process(child, SIGKILL);
   (void)util::wait_child(child);
-  EXPECT_EQ(rc, 0) << "port " << port << " still held after stop() "
-                   << "(errno " << bind_errno
-                   << ") — listen fd leaked into the child";
+  server.stop();
+
+  ASSERT_TRUE(execd) << "child never exec'd /bin/sleep";
+  ASSERT_TRUE(listed) << "cannot list " << proc << "/fd";
+  for (const std::string& fd : sockets) {
+    ADD_FAILURE() << "socket inherited by the child: fd " << fd;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -180,13 +180,33 @@ TEST_F(ModelFileTest, BadMagicIsDetected) {
   }
 }
 
-TEST_F(ModelFileTest, LegacyFileWithoutFooterStillLoads) {
-  // Chopping exactly the 8-byte footer yields a pre-CRC legacy file; it
-  // must load (with a warning), not fail.
+TEST_F(ModelFileTest, FileWithoutFooterIsRefused) {
+  // Chopping exactly the 8-byte footer leaves a file that ends at the last
+  // tensor; the footer is required, so this is a truncated file.
   core::truncate_file(path_, std::filesystem::file_size(path_) - 8);
-  const core::LoadedModel loaded = core::load_model(path_);
-  ASSERT_NE(loaded.model, nullptr);
-  EXPECT_EQ(loaded.arch, "default-mlp");
+  try {
+    (void)core::load_model(path_);
+    FAIL() << "footer-less model file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad CRC footer"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ModelFileTest, EveryTruncationIsRefused) {
+  // Cut the file at every length from size-1 down to 0.  A small gohr-net
+  // keeps the sweep to a few ten thousand loads (the fixture's MLP file is
+  // ~0.5 MB); the format is the same.
+  util::Xoshiro256 rng(8);
+  auto model = core::build_gohr_net(4, 2, 1, rng);
+  core::save_model(*model, "gohr-net/1", 4, 2, path_);
+  ASSERT_NE(core::load_model(path_).model, nullptr);  // the whole file loads
+  const std::size_t size = std::filesystem::file_size(path_);
+  for (std::size_t len = size; len-- > 0;) {
+    core::truncate_file(path_, len);
+    EXPECT_THROW((void)core::load_model(path_), std::runtime_error)
+        << "cut at " << len << " of " << size << " bytes";
+  }
 }
 
 // --- core::FaultyOracle ---------------------------------------------------
