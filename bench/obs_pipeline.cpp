@@ -2,11 +2,20 @@
 // with the cross-process merge contract asserted before the price is
 // trusted.
 //
-// Paired sharded campaigns over the same toy-target grid, alternating
-// telemetry shipping OFF and ON so machine drift hits both sides equally;
-// best-of-K cells/sec per side tames scheduler noise.  A serial reference
-// run (workers=0, which folds per-cell deltas through the same
-// obs/ship.hpp codec) supplies the ground-truth campaign.worker.* totals.
+// Paired sharded campaigns over the same toy-target grid, one ship-off and
+// one ship-on campaign per pair, back to back; odd pairs run ship-on first
+// so neither side always inherits the other's warm caches or leftover
+// load.  The gated overhead is the interquartile mean over pairs of
+// 1 - on_cells_per_sec / off_cells_per_sec: pairing cancels machine drift,
+// and trimming the outer quartiles drops the pairs a scheduler burst hit
+// on one side only.  (A best-of-K gap between the two sides does not
+// settle as K grows: one rare fast run on either side moves it by several
+// percent.  On a 4-core VM with 3-6% run-to-run jitter, best-of-3 over
+// 4-cell campaigns read above the 2% ceiling in 11 of 30 runs, while one
+// snapshot+encode of a worker's registry costs about 26 us per cell.)
+// A serial reference run (workers=0, which folds per-cell deltas through
+// the same obs/ship.hpp codec) supplies the ground-truth campaign.worker.*
+// totals.
 //
 // Acceptance, checked by the exit status (the bench runs under ctest -L
 // regress): every campaign completes with zero failed cells, the ship-on
@@ -25,7 +34,9 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "campaign/spec.hpp"
@@ -110,9 +121,9 @@ int main(int argc, char** argv) {
   const bench::Options opt = bench::parse_options(argc, argv);
   bench::print_header("Obs pipeline: telemetry shipping overhead", opt);
 
-  const std::size_t cells = opt.base(4, 8);
+  const std::size_t cells = opt.base(16, 32);
   const std::size_t workers = 2;
-  const int repeats = opt.full ? 5 : 3;
+  const int repeats = opt.full ? 32 : 24;
   const double max_overhead_pct = 2.0;
 
   campaign::CampaignSpec spec;
@@ -156,14 +167,21 @@ int main(int argc, char** argv) {
               "seconds", "cells/sec");
   double off_best_cps = 0.0;
   double on_best_cps = 0.0;
+  std::vector<double> pair_overhead_pct;
   std::map<std::string, std::uint64_t> shipped_counters;
   for (int rep = 0; rep < repeats; ++rep) {
-    const CampaignRun off =
-        run_campaign(spec, workers, /*ship=*/false, "off", rep);
+    const bool off_first = rep % 2 == 0;
+    CampaignRun off;
+    if (off_first) {
+      off = run_campaign(spec, workers, /*ship=*/false, "off", rep);
+    }
     obs::MetricsRegistry::global().reset();
     const CampaignRun on =
         run_campaign(spec, workers, /*ship=*/true, "on", rep);
     shipped_counters = worker_counters();
+    if (!off_first) {
+      off = run_campaign(spec, workers, /*ship=*/false, "off", rep);
+    }
     require(off.report.complete() && off.report.cells_failed == 0,
             "ship-off campaign did not complete cleanly");
     require(on.report.complete() && on.report.cells_failed == 0,
@@ -177,6 +195,8 @@ int main(int argc, char** argv) {
                           std::max(1e-9, on.seconds);
     off_best_cps = std::max(off_best_cps, off_cps);
     on_best_cps = std::max(on_best_cps, on_cps);
+    pair_overhead_pct.push_back((off_cps - on_cps) / std::max(1e-9, off_cps) *
+                                100.0);
     std::printf("%-10s %3d %6zu %6zu %10.3f %14.2f\n", "ship-off", rep,
                 off.report.cells_total, off.report.cells_done, off.seconds,
                 off_cps);
@@ -185,16 +205,28 @@ int main(int argc, char** argv) {
                 on_cps);
   }
 
-  // Best-of-K on both sides: overhead is the gap between the best clean
-  // run and the best shipping run, clamped at zero (shipping cannot make
-  // the campaign faster; a negative gap is noise).
-  const double overhead_pct = std::max(
-      0.0, (off_best_cps - on_best_cps) / std::max(1e-9, off_best_cps) * 100.0);
+  // Interquartile mean of the per-pair overheads, clamped at zero
+  // (shipping cannot make the campaign faster; a negative value is noise).
+  std::sort(pair_overhead_pct.begin(), pair_overhead_pct.end());
+  const std::size_t quarter = pair_overhead_pct.size() / 4;
+  const auto mid_begin = pair_overhead_pct.begin() +
+                         static_cast<std::ptrdiff_t>(quarter);
+  const auto mid_end = pair_overhead_pct.end() -
+                       static_cast<std::ptrdiff_t>(quarter);
+  const double pair_iqm_pct =
+      std::accumulate(mid_begin, mid_end, 0.0) /
+      static_cast<double>(std::max<std::ptrdiff_t>(1, mid_end - mid_begin));
+  const double overhead_pct = std::max(0.0, pair_iqm_pct);
+  const double q1_pct = *mid_begin;
+  const double q3_pct = *(mid_end - 1);
   bench::print_rule();
   std::printf("best ship-off: %10.2f cells/sec\n", off_best_cps);
   std::printf("best ship-on:  %10.2f cells/sec\n", on_best_cps);
-  std::printf("shipping overhead: %.2f%% (ceiling %.1f%%)\n", overhead_pct,
-              max_overhead_pct);
+  std::printf("per-pair overhead: quartiles %.2f%% .. %.2f%% over %zu pairs\n",
+              q1_pct, q3_pct, pair_overhead_pct.size());
+  std::printf(
+      "shipping overhead: %.2f%% (interquartile mean, ceiling %.1f%%)\n",
+      overhead_pct, max_overhead_pct);
   std::printf("merged counters: %zu (bitwise vs serial: %s)\n",
               shipped_counters.size(),
               shipped_counters == serial_counters ? "ok" : "MISMATCH");
@@ -209,6 +241,8 @@ int main(int argc, char** argv) {
       .field("obs_ship_cells_per_sec", on_best_cps)
       .field("obs_noship_cells_per_sec", off_best_cps)
       .field("ship_overhead_pct", overhead_pct)
+      .field("ship_overhead_q1_pct", q1_pct)
+      .field("ship_overhead_q3_pct", q3_pct)
       .field("merged_counter_names",
              static_cast<std::uint64_t>(shipped_counters.size()))
       .field("bitwise_ok", ok);
