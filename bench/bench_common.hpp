@@ -6,7 +6,8 @@
 //   --seed N    override the experiment seed
 //   --threads W pipeline worker count (0 = global pool sized to the machine)
 //   --kernel K  force the compute-kernel implementation
-//               (reference | blocked | avx2); default = best supported
+//               (reference | blocked | avx2 | avx512); default = best
+//               supported
 //   --trace F   record a Chrome trace_event JSON of the run into F
 //               (same effect as MLDIST_TRACE=F in the environment)
 //   --serve-metrics P  expose /metrics, /healthz and /runz on port P while
@@ -20,6 +21,8 @@
 // tools/bench_compare gates regressions on.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,7 +46,24 @@
 #include "serve/registry.hpp"
 #include "util/json.hpp"
 
+// Under ASan/TSan the instrumentation overhead lands unevenly across code
+// paths, so wall-clock speedup floors are not meaningful there; benches
+// still assert their bitwise checks.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MLDIST_BENCH_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MLDIST_BENCH_SANITIZED 1
+#endif
+#endif
+
 namespace mldist::bench {
+
+#ifdef MLDIST_BENCH_SANITIZED
+inline constexpr bool kSanitizedBuild = true;
+#else
+inline constexpr bool kSanitizedBuild = false;
+#endif
 
 struct Options {
   bool full = false;
@@ -107,6 +127,9 @@ inline Options parse_options(int argc, char** argv) {
       }
       std::printf("metrics server on http://localhost:%u/metrics\n",
                   metrics_server().port());
+      // A piped stdout is block-buffered: flush so a reader learns the
+      // (possibly ephemeral) port while the bench still runs.
+      std::fflush(stdout);
     } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
       obs::LogLevel lvl;
       if (!obs::parse_level(argv[++i], lvl)) {
@@ -123,7 +146,8 @@ inline Options parse_options(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: %s [--quick|--full] [--seed N] [--threads W] [--base N] "
-          "[--epochs N] [--kernel reference|blocked|avx2] [--trace FILE] "
+          "[--epochs N] [--kernel reference|blocked|avx2|avx512] "
+          "[--trace FILE] "
           "[--serve-metrics PORT] [--log-level L] [--log-file FILE]\n",
           argv[0]);
       std::exit(0);
@@ -152,6 +176,64 @@ inline void print_header(const char* title, const Options& opt) {
   std::printf("mode: %s   seed: 0x%llx\n", opt.full ? "full" : "quick",
               static_cast<unsigned long long>(opt.seed));
   std::printf("==============================================================\n");
+}
+
+/// Per-pair speedups of `candidate` over `base` from interleaved timings,
+/// summarised by their quartiles.  Pairing cancels machine drift (both sides
+/// of a pair see the same load); alternating which side runs first cancels
+/// warm-up order; the quartiles drop the pairs a scheduler burst hit.
+struct PairedSpeedup {
+  std::size_t pairs = 0;
+  double median = 0.0;
+  double iqm = 0.0;  ///< interquartile mean: mean of the middle half
+  double q1 = 0.0;
+  double q3 = 0.0;
+  double base_median_s = 0.0;       ///< median base call, seconds
+  double candidate_median_s = 0.0;  ///< median candidate call, seconds
+};
+
+/// Times `pairs` (base, candidate) pairs of calls, candidate first on odd
+/// pairs, and summarises base_seconds / candidate_seconds.
+template <typename Base, typename Candidate>
+PairedSpeedup paired_speedup(std::size_t pairs, Base&& base,
+                             Candidate&& candidate) {
+  const auto seconds_of = [](auto& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  std::vector<double> ratios, base_s(pairs), candidate_s(pairs);
+  ratios.reserve(pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    if (p % 2 == 0) {
+      base_s[p] = seconds_of(base);
+      candidate_s[p] = seconds_of(candidate);
+    } else {
+      candidate_s[p] = seconds_of(candidate);
+      base_s[p] = seconds_of(base);
+    }
+    ratios.push_back(base_s[p] / std::max(candidate_s[p], 1e-12));
+  }
+  PairedSpeedup out;
+  out.pairs = pairs;
+  if (pairs == 0) return out;
+  const auto median_of = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t h = v.size() / 2;
+    return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  };
+  out.median = median_of(ratios);  // sorts ratios for the quartiles below
+  out.base_median_s = median_of(base_s);
+  out.candidate_median_s = median_of(candidate_s);
+  const std::size_t quarter = pairs / 4;
+  out.q1 = ratios[quarter];
+  out.q3 = ratios[pairs - 1 - quarter];
+  double sum = 0.0;
+  for (std::size_t i = quarter; i < pairs - quarter; ++i) sum += ratios[i];
+  out.iqm = sum / static_cast<double>(pairs - 2 * quarter);
+  return out;
 }
 
 inline void print_rule() {

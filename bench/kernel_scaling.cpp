@@ -1,5 +1,5 @@
 // Kernel scaling: throughput of every registered compute-kernel
-// implementation (reference / blocked / avx2) on the two hot paths the
+// implementation (reference / blocked / avx2 / avx512) on the two hot paths the
 // kernels layer accelerates — GEMM and the batched Gimli permutation — plus
 // the end-to-end effect on dataset collection and a training epoch.
 //
@@ -8,12 +8,16 @@
 // throughput and the train-epoch wall time, each with its speedup over the
 // reference implementation (GEMM) or over the scalar per-sample loop
 // (collection), and the ns/call and GFLOP/s of the two batch-1 gohr-net
-// conv products.  The Gimli rows list the two distinct sweeps, reference
-// and blocked (avx2 dispatch runs the blocked one).  Acceptance
-// thresholds, checked by the exit status:
+// conv products, plus the GFLOP/s of the online game's dense products.
+// The Gimli rows list the two distinct sweeps, reference and blocked (avx2
+// and avx512 dispatch run the blocked one).  Acceptance thresholds,
+// checked by the exit status (ctest bench_kernel_scaling):
 //   * best GEMM speedup vs reference >= 2x,
 //   * best batched collection speedup vs the scalar sample() loop >= 1.5x,
-//   * every backend's conv products bitwise equal to the reference.
+//   * every backend's conv products bitwise equal to the reference,
+//   * with AVX-512 (outside sanitizer builds): avx512 >= 1.3x avx2 on
+//     512x128x1024 and its narrow path >= 1.3x the padded 8x32 tile on
+//     512x1024x2, each the median of interleaved pairs.
 //
 // Every implementation is bitwise identical to the reference (the
 // determinism contract of src/kernels/dispatch.hpp, enforced by
@@ -162,6 +166,130 @@ int main(int argc, char** argv) {
   }
   bench::print_rule();
 
+  // --- the online game's products, per backend ---------------------------
+  // test() scores 512-row batches through the default MLP (128 -> 128 ->
+  // 1024 -> 2): three dense products per batch.  The gohr-net batch-1
+  // interior conv rides along.  Every backend's GFLOP/s is recorded (median
+  // of 5 timed samples, each sized to a few ms); the reference runs one
+  // call per sample.
+  struct GameProduct {
+    const char* name;
+    std::size_t m, k, n;
+  };
+  const GameProduct game_products[] = {{"dense_in", 512, 128, 128},
+                                       {"dense_hidden", 512, 128, 1024},
+                                       {"dense_head", 512, 1024, 2},
+                                       {"gohr_conv_interior", 62, 96, 32}};
+  std::vector<std::string> game_json;
+  for (const GameProduct& p : game_products) {
+    std::vector<float> pa(p.m * p.k), pb(p.k * p.n), pc(p.m * p.n);
+    for (auto& v : pa) v = static_cast<float>(rng.next_gaussian());
+    for (auto& v : pb) v = static_cast<float>(rng.next_gaussian());
+    const double product_flops = 2.0 * static_cast<double>(p.m * p.k * p.n);
+    std::printf("game product %s %zux%zux%zu\n", p.name, p.m, p.k, p.n);
+    for (const kernels::Impl impl : impls) {
+      const int calls =
+          impl == kernels::Impl::kReference
+              ? 1
+              : std::max(1, static_cast<int>(4e8 / product_flops));
+      const double seconds = timed(5, [&] {
+        for (int i = 0; i < calls; ++i) {
+          kernels::gemm_impl(impl, pa.data(),
+                             static_cast<std::ptrdiff_t>(p.k), 1, pb.data(),
+                             static_cast<std::ptrdiff_t>(p.n), 1, pc.data(),
+                             p.m, p.k, p.n);
+        }
+      });
+      const double gflops = product_flops * calls / seconds / 1e9;
+      std::printf("  %-10s %8.2f GFLOP/s\n", kernels::impl_name(impl),
+                  gflops);
+      util::JsonBuilder j;
+      j.field("product", p.name)
+          .field("shape", std::to_string(p.m) + "x" + std::to_string(p.k) +
+                              "x" + std::to_string(p.n))
+          .field("impl", kernels::impl_name(impl))
+          .field("gflops", gflops);
+      game_json.push_back(j.str());
+    }
+  }
+  bench::print_rule();
+
+  // --- the AVX-512 margins ------------------------------------------------
+  // avx512 earns its place only by a gated margin (ROADMAP): its 8x32 tile
+  // against avx2 on the hidden product, and its narrow-output path against
+  // the same 8x32 tile padded out to n = 2 on the head.  Each margin is the
+  // median over interleaved (base, candidate) pairs of calls.
+  constexpr double kMinAvx512Margin = 1.3;
+  constexpr std::size_t kMarginPairs = 21;
+  bool margins_ok = true;
+  util::JsonBuilder margins;
+  const char* skip_reason =
+      bench::kSanitizedBuild ? "sanitizer build: wall-clock margins are not "
+                               "meaningful"
+      : !kernels::supported(kernels::Impl::kAvx512) ||
+              !kernels::supported(kernels::Impl::kAvx2)
+          ? "host or build lacks AVX-512F or AVX2"
+          : nullptr;
+  if (skip_reason != nullptr) {
+    std::printf("avx512 margins: skipped (%s)\n", skip_reason);
+    margins.field("skipped", skip_reason);
+  } else {
+    const auto operands = [&](std::size_t m, std::size_t k, std::size_t n) {
+      std::vector<float> a(m * k), b(k * n);
+      for (auto& v : a) v = static_cast<float>(rng.next_gaussian());
+      for (auto& v : b) v = static_cast<float>(rng.next_gaussian());
+      return std::make_pair(std::move(a), std::move(b));
+    };
+    const auto margin = [&](const char* what, std::size_t m, std::size_t k,
+                            std::size_t n, auto&& base, auto&& candidate) {
+      const auto [a, b] = operands(m, k, n);
+      std::vector<float> c(m * n);
+      const int calls = std::max(
+          1, static_cast<int>(1e8 / (2.0 * static_cast<double>(m * k * n))));
+      const auto run = [&](auto& gemm_fn) {
+        return [&, calls] {
+          for (int i = 0; i < calls; ++i) {
+            gemm_fn(a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
+                    static_cast<std::ptrdiff_t>(n), 1, c.data(), m, k, n,
+                    kernels::GemmEpilogue{});
+          }
+        };
+      };
+      auto run_base = run(base);
+      auto run_candidate = run(candidate);
+      run_base();
+      run_candidate();  // warm both
+      const bench::PairedSpeedup s =
+          bench::paired_speedup(kMarginPairs, run_base, run_candidate);
+      const bool ok = s.median >= kMinAvx512Margin;
+      margins_ok = margins_ok && ok;
+      std::printf("  %-34s %zux%zux%zu  median %.2fx (quartiles %.2f..%.2f, "
+                  "%zu pairs, floor %.2fx): %s\n",
+                  what, m, k, n, s.median, s.q1, s.q3, s.pairs,
+                  kMinAvx512Margin, ok ? "OK" : "FAIL");
+      util::JsonBuilder j;
+      j.field("shape", std::to_string(m) + "x" + std::to_string(k) + "x" +
+                           std::to_string(n))
+          .field("pairs", static_cast<std::uint64_t>(s.pairs))
+          .field("median", s.median)
+          .field("q1", s.q1)
+          .field("q3", s.q3)
+          .field("ok", ok);
+      return j.str();
+    };
+    std::printf("avx512 margins\n");
+    const std::string tile = margin(
+        "8x32 tile (avx512) vs 6x16 (avx2)", 512, 128, 1024,
+        kernels::detail::gemm_avx2, kernels::detail::gemm_avx512);
+    const std::string narrow =
+        margin("narrow path vs padded 8x32 tile", 512, 1024, 2,
+               kernels::detail::gemm_avx512_tiled,
+               kernels::detail::gemm_avx512);
+    margins.raw("tile_vs_avx2", tile).raw("narrow_vs_tile", narrow);
+  }
+  margins.field("floor", kMinAvx512Margin).field("ok", margins_ok);
+  bench::print_rule();
+
   // --- batched Gimli ------------------------------------------------------
   const std::size_t states = 1024;
   const int gimli_calls = opt.full ? 2000 : 500;
@@ -274,10 +402,11 @@ int main(int argc, char** argv) {
   const bool gemm_ok = gemm_best_speedup >= 2.0;
   const bool collect_ok = collect_best_speedup >= 1.5;
   std::printf("acceptance: GEMM best %.2fx (target 2x): %s   collection "
-              "best %.2fx (target 1.5x): %s   conv products bitwise: %s\n",
+              "best %.2fx (target 1.5x): %s   conv products bitwise: %s   "
+              "avx512 margins: %s\n",
               gemm_best_speedup, gemm_ok ? "OK" : "FAIL",
               collect_best_speedup, collect_ok ? "OK" : "FAIL",
-              conv_bitwise_ok ? "OK" : "FAIL");
+              conv_bitwise_ok ? "OK" : "FAIL", margins_ok ? "OK" : "FAIL");
 
   util::JsonBuilder acceptance;
   acceptance.field("gemm_speedup_target", 2.0)
@@ -286,13 +415,15 @@ int main(int argc, char** argv) {
       .field("collect_speedup_target", 1.5)
       .field("collect_best_speedup", collect_best_speedup)
       .field("collect_ok", collect_ok)
-      .field("conv_products_bitwise_ok", conv_bitwise_ok);
+      .field("conv_products_bitwise_ok", conv_bitwise_ok)
+      .raw("avx512_margins", margins.str());
   util::JsonBuilder artifact;
   artifact.raw("options", bench::options_json(opt))
       .field("gemm_shape", std::to_string(m) + "x" + std::to_string(k) + "x" +
                                std::to_string(n))
       .raw("gemm", util::JsonBuilder::array(gemm_json))
       .raw("gohr_conv_b1", util::JsonBuilder::array(conv_json))
+      .raw("game_products", util::JsonBuilder::array(game_json))
       .field("gimli_batch_states", static_cast<std::uint64_t>(states))
       .raw("gimli_batch", util::JsonBuilder::array(gimli_json))
       .field("collect_target", "gimli-hash/8")
@@ -304,5 +435,5 @@ int main(int argc, char** argv) {
       .raw("acceptance", acceptance.str());
   bench::write_bench_json("kernels", artifact);
   std::printf("artifact: results/BENCH_kernels.json\n");
-  return (gemm_ok && collect_ok && conv_bitwise_ok) ? 0 : 1;
+  return (gemm_ok && collect_ok && conv_bitwise_ok && margins_ok) ? 0 : 1;
 }

@@ -244,7 +244,7 @@ int usage() {
                "  mldist_cli train --target T --rounds R --samples N "
                "--epochs E --model PATH\n"
                "             [--arch A] [--threads W] [--seed S] "
-               "[--kernel reference|blocked|avx2]\n"
+               "[--kernel reference|blocked|avx2|avx512]\n"
                "             [--retries N] [--checkpoint PATH] [--json] "
                "[--trace FILE]\n"
                "             [--serve-metrics PORT] [--log-level L] "
@@ -636,6 +636,9 @@ int main(int argc, char** argv) {
     if (!args.json) {
       std::printf("metrics server on http://localhost:%u/metrics\n",
                   server.port());
+      // A piped stdout is block-buffered: flush so a reader learns the
+      // (possibly ephemeral) port while the run is still going.
+      std::fflush(stdout);
     }
   }
   try {

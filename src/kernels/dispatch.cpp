@@ -7,9 +7,10 @@
 
 namespace mldist::kernels {
 
-// Defined in gemm_avx2.cpp so the answer reflects how that translation
-// unit was actually compiled.
+// Defined in gemm_avx2.cpp / gemm_avx512.cpp so the answer reflects how
+// that translation unit was actually compiled.
 bool detail_avx2_compiled();
+bool detail_avx512_compiled();
 
 namespace {
 
@@ -33,7 +34,10 @@ struct State {
   }
 
   static Impl best_supported() {
-    return supported(Impl::kAvx2) ? Impl::kAvx2 : Impl::kBlocked;
+    for (Impl impl : {Impl::kAvx512, Impl::kAvx2}) {
+      if (supported(impl)) return impl;
+    }
+    return Impl::kBlocked;
   }
 };
 
@@ -52,6 +56,8 @@ const char* impl_name(Impl impl) {
       return "blocked";
     case Impl::kAvx2:
       return "avx2";
+    case Impl::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -69,6 +75,10 @@ bool parse_impl(std::string_view name, Impl& out) {
     out = Impl::kAvx2;
     return true;
   }
+  if (name == "avx512") {
+    out = Impl::kAvx512;
+    return true;
+  }
   return false;
 }
 
@@ -77,7 +87,7 @@ bool backend_from_string(std::string_view name, Impl& out,
   Impl impl;
   if (!parse_impl(name, impl)) {
     obs::log_warn("kernels", "unknown kernel backend '" + std::string(name) +
-                                 "' (expected reference|blocked|avx2)")
+                                 "' (expected reference|blocked|avx2|avx512)")
         .field("source", source);
     return false;
   }
@@ -99,13 +109,15 @@ bool supported(Impl impl) {
     case Impl::kAvx2:
       return detail_avx2_compiled() && __builtin_cpu_supports("avx2") &&
              __builtin_cpu_supports("fma");
+    case Impl::kAvx512:
+      return detail_avx512_compiled() && __builtin_cpu_supports("avx512f");
   }
   return false;
 }
 
 std::vector<Impl> available_impls() {
   std::vector<Impl> impls;
-  for (Impl impl : {Impl::kReference, Impl::kBlocked, Impl::kAvx2}) {
+  for (Impl impl : kAllImpls) {
     if (supported(impl)) impls.push_back(impl);
   }
   return impls;
@@ -126,7 +138,7 @@ void set_dispatch(std::string_view name) {
   Impl impl;
   if (!parse_impl(name, impl)) {
     throw std::invalid_argument("unknown kernel '" + std::string(name) +
-                                "' (expected reference|blocked|avx2)");
+                                "' (expected reference|blocked|avx2|avx512)");
   }
   set_dispatch(impl);
 }

@@ -1,30 +1,34 @@
 // Kernel dispatch registry: one process-wide selection of the compute-kernel
 // implementation used by the GEMM (nn::mat) and batched-Gimli hot paths.
 //
-// Three implementations exist:
+// Four implementations exist:
 //   * reference — the executable specification: textbook loops, no blocking,
 //     no SIMD.  Every other kernel is pinned bitwise against it.
-//   * blocked   — cache-blocked, register-tiled, packing GEMM and a
+//   * blocked   — cache-blocked, register-tiled (6x16), packing GEMM and a
 //     column-sliced SoA Gimli sweep; plain C++, autovectorizable.
-//   * avx2      — the blocked GEMM with an AVX2+FMA micro-kernel, compiled
-//     separately and gated on runtime CPU detection.  Batched Gimli has no
-//     AVX2 variant: under avx2 it runs (and is counted as) the blocked
-//     sweep, which autovectorises.
+//   * avx2      — the blocked GEMM driver with an AVX2+FMA 6x16
+//     micro-kernel, compiled separately and gated on runtime CPU detection.
+//   * avx512    — the same driver with an AVX-512F 8x32 micro-kernel, plus a
+//     narrow-output path for n < 8 (the t-class head) whose vector lanes
+//     run over 16 rows of C instead of columns; compiled with -mavx512f
+//     -mfma and gated on __builtin_cpu_supports("avx512f").
+// Batched Gimli has no SIMD variant: under avx2 and avx512 it runs (and is
+// counted as) the blocked sweep, which autovectorises.
 //
 // Determinism contract (tested by tests/kernel_equiv_test.cpp):
 //   * every kernel computes each GEMM output element as the k-ascending
-//     fused-multiply-add chain c = fma(a_ik, b_kj, c), so on finite inputs
-//     all implementations are BITWISE IDENTICAL — the equivalence tests
-//     assert exact equality, and training is bitwise reproducible not just
-//     per kernel but across kernels;
+//     fused-multiply-add chain c = fma(a_ik, b_kj, c) from +0, then the same
+//     row epilogue, so all implementations are BITWISE IDENTICAL — the
+//     equivalence tests assert exact equality, and training is bitwise
+//     reproducible not just per kernel but across kernels;
 //   * batched Gimli is integer-only and trivially bitwise equal to the
 //     scalar permutation.
 //
 // Selection order at first use: MLDIST_KERNEL environment variable
-// ("reference" | "blocked" | "avx2") if set and supported (an unsupported
-// request warns on stderr and falls back), otherwise the best supported
-// implementation (avx2 > blocked).  set_dispatch() overrides at runtime
-// (the CLI --kernel flag and the test harness use it).
+// ("reference" | "blocked" | "avx2" | "avx512") if set and supported (an
+// unsupported request warns on stderr and falls back), otherwise the best
+// supported implementation (avx512 > avx2 > blocked).  set_dispatch()
+// overrides at runtime (the CLI --kernel flag and the test harness use it).
 #pragma once
 
 #include <string>
@@ -37,9 +41,14 @@ enum class Impl {
   kReference = 0,
   kBlocked = 1,
   kAvx2 = 2,
+  kAvx512 = 3,
 };
 
-/// Canonical lower-case name ("reference", "blocked", "avx2").
+/// Every implementation, in ascending Impl order.
+inline constexpr Impl kAllImpls[] = {Impl::kReference, Impl::kBlocked,
+                                     Impl::kAvx2, Impl::kAvx512};
+
+/// Canonical lower-case name ("reference", "blocked", "avx2", "avx512").
 const char* impl_name(Impl impl);
 
 /// Parse a canonical name; returns false on unknown names.
@@ -54,7 +63,7 @@ bool backend_from_string(std::string_view name, Impl& out,
                          std::string_view source = "kernel");
 
 /// True when `impl` can run on this machine (reference/blocked always;
-/// avx2 requires the CPU feature and an AVX2-capable build).
+/// avx2 and avx512 require the CPU features and a build that compiled them).
 bool supported(Impl impl);
 
 /// All supported implementations, in ascending Impl order.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 
@@ -21,12 +22,12 @@ namespace {
 /// batch grid is fixed by the options, not the worker count — so they are
 /// bitwise identical for any --threads setting.
 struct GemmMetrics {
-  obs::MetricId calls[3];
-  obs::MetricId flops[3];
+  obs::MetricId calls[std::size(kAllImpls)];
+  obs::MetricId flops[std::size(kAllImpls)];
 
   GemmMetrics() {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    for (Impl impl : {Impl::kReference, Impl::kBlocked, Impl::kAvx2}) {
+    for (Impl impl : kAllImpls) {
       const auto i = static_cast<std::size_t>(impl);
       const std::string suffix = impl_name(impl);
       calls[i] = reg.counter("kernels.gemm.calls." + suffix);
@@ -46,7 +47,7 @@ constexpr std::size_t kBlockedBypassFlops = 32u * 32u * 32u;
 /// Per-thread grow-only pack buffer.  Never value-initialised: the packing
 /// loops write every lane the micro-kernel reads, zero pads included.  One
 /// arena per operand, so a thread holds at most the two full cache blocks
-/// (kMC x kKC and kKC x kNC floats) however many products it runs.
+/// (mc x kKC and kKC x kNC floats) however many products it runs.
 class PackArena {
  public:
   float* reserve(std::size_t floats) {
@@ -61,6 +62,18 @@ class PackArena {
   std::unique_ptr<float[]> data_;
   std::size_t capacity_ = 0;
 };
+
+/// The calling thread's two arenas, shared by every tile instantiation of
+/// the driver.
+struct PackArenas {
+  PackArena a;
+  PackArena b;
+};
+
+PackArenas& thread_arenas() {
+  thread_local PackArenas arenas;
+  return arenas;
+}
 
 /// Small products: c[i][:] starts at +0 and takes the row-broadcast update
 /// c[i][j] = fma(a[i][kk], b[kk][j], c[i][j]) for kk ascending — each
@@ -94,10 +107,13 @@ void gemm_small(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
   }
 }
 
-// Scalar full-tile micro-kernel.  Row lanes of kNR=16 floats autovectorize
-// cleanly (two AVX vectors per row); std::fmaf keeps the chain explicit.
+// Scalar full-tile micro-kernel for kTile6x16.  Row lanes of 16 floats
+// autovectorize cleanly (two AVX vectors per row); std::fmaf keeps the
+// chain explicit.
 void micro_scalar(std::size_t kc, const float* ap, const float* bp,
                   float* acc) {
+  constexpr int kMR = kTile6x16.mr;
+  constexpr int kNR = kTile6x16.nr;
   for (std::size_t kk = 0; kk < kc; ++kk) {
     const float* arow = ap + kk * kMR;
     const float* brow = bp + kk * kNR;
@@ -130,11 +146,24 @@ void gemm_reference(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
   }
 }
 
+void apply_epilogue_rows(float* c, std::size_t m, std::size_t n,
+                         const GemmEpilogue& epilogue) {
+  for (std::size_t i = 0; i < m; ++i) {
+    apply_epilogue_row(c + i * n, n, epilogue, 0);
+  }
+}
+
+template <Tile T>
 void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
                          std::ptrdiff_t a_cs, const float* b,
                          std::ptrdiff_t b_rs, std::ptrdiff_t b_cs, float* c,
                          std::size_t m, std::size_t k, std::size_t n,
                          const GemmEpilogue& epilogue, MicroFn micro) {
+  constexpr std::size_t kMR = static_cast<std::size_t>(T.mr);
+  constexpr std::size_t kNR = static_cast<std::size_t>(T.nr);
+  constexpr std::size_t kMC = T.mc;
+  static_assert(kMC % kMR == 0 && kNC % kNR == 0,
+                "cache blocks must hold whole register tiles");
   if (m == 0 || n == 0) return;
   if (m * n * k < kBlockedBypassFlops) {
     gemm_small(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue);
@@ -146,10 +175,9 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
   const std::size_t kc_max = std::min(k, kKC);
   const std::size_t a_strips = (std::min(m, kMC) + kMR - 1) / kMR;
   const std::size_t b_strips = (std::min(n, kNC) + kNR - 1) / kNR;
-  thread_local PackArena a_arena;
-  thread_local PackArena b_arena;
-  float* const apack = a_arena.reserve(a_strips * kc_max * kMR);
-  float* const bpack = b_arena.reserve(b_strips * kc_max * kNR);
+  PackArenas& arenas = thread_arenas();
+  float* const apack = arenas.a.reserve(a_strips * kc_max * kMR);
+  float* const bpack = arenas.b.reserve(b_strips * kc_max * kNR);
   const GemmEpilogue no_epilogue{};
 
   for (std::size_t jc = 0; jc < n; jc += kNC) {
@@ -165,7 +193,7 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
       // micro-kernel always runs a full tile.
       for (std::size_t js = 0; js < njs; ++js) {
         const std::size_t j0 = jc + js * kNR;
-        const std::size_t nr = std::min<std::size_t>(kNR, n - j0);
+        const std::size_t nr = std::min(kNR, n - j0);
         float* dst = bpack + js * kc * kNR;
         for (std::size_t kk = 0; kk < kc; ++kk) {
           const float* b_row =
@@ -186,12 +214,12 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
         // Pack A into kMR-tall strips, zero-padding edge rows.
         for (std::size_t is = 0; is < nis; ++is) {
           const std::size_t i0 = ic + is * kMR;
-          const std::size_t mr = std::min<std::size_t>(kMR, m - i0);
+          const std::size_t mr = std::min(kMR, m - i0);
           float* dst = apack + is * kc * kMR;
           for (std::size_t kk = 0; kk < kc; ++kk) {
             const float* a_col =
                 a + static_cast<std::ptrdiff_t>(kc0 + kk) * a_cs;
-            for (std::size_t r = 0; r < static_cast<std::size_t>(kMR); ++r) {
+            for (std::size_t r = 0; r < kMR; ++r) {
               dst[kk * kMR + r] =
                   r < mr
                       ? a_col[static_cast<std::ptrdiff_t>(i0 + r) * a_rs]
@@ -202,11 +230,11 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
 
         for (std::size_t js = 0; js < njs; ++js) {
           const std::size_t j0 = jc + js * kNR;
-          const std::size_t nr = std::min<std::size_t>(kNR, n - j0);
+          const std::size_t nr = std::min(kNR, n - j0);
           const float* bp = bpack + js * kc * kNR;
           for (std::size_t is = 0; is < nis; ++is) {
             const std::size_t i0 = ic + is * kMR;
-            const std::size_t mr = std::min<std::size_t>(kMR, m - i0);
+            const std::size_t mr = std::min(kMR, m - i0);
             const float* ap = apack + is * kc * kMR;
 
             alignas(64) float acc[kMR * kNR];
@@ -214,11 +242,9 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
               std::memset(acc, 0, sizeof(acc));
             } else {
               // Resume the fma chain from the partial sums parked in C.
-              for (std::size_t r = 0; r < static_cast<std::size_t>(kMR);
-                   ++r) {
+              for (std::size_t r = 0; r < kMR; ++r) {
                 const float* c_row = c + (i0 + r) * n + j0;
-                for (std::size_t j = 0; j < static_cast<std::size_t>(kNR);
-                     ++j) {
+                for (std::size_t j = 0; j < kNR; ++j) {
                   acc[r * kNR + j] = (r < mr && j < nr) ? c_row[j] : 0.0f;
                 }
               }
@@ -238,12 +264,21 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
   }
 }
 
+template void gemm_blocked_driver<kTile6x16>(
+    const float*, std::ptrdiff_t, std::ptrdiff_t, const float*,
+    std::ptrdiff_t, std::ptrdiff_t, float*, std::size_t, std::size_t,
+    std::size_t, const GemmEpilogue&, MicroFn);
+template void gemm_blocked_driver<kTile8x32>(
+    const float*, std::ptrdiff_t, std::ptrdiff_t, const float*,
+    std::ptrdiff_t, std::ptrdiff_t, float*, std::size_t, std::size_t,
+    std::size_t, const GemmEpilogue&, MicroFn);
+
 void gemm_blocked(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
                   const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
                   float* c, std::size_t m, std::size_t k, std::size_t n,
                   const GemmEpilogue& epilogue) {
-  gemm_blocked_driver(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue,
-                      &micro_scalar);
+  gemm_blocked_driver<kTile6x16>(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n,
+                                 epilogue, &micro_scalar);
 }
 
 }  // namespace detail
@@ -280,6 +315,10 @@ void gemm_impl(Impl impl, const float* a, std::ptrdiff_t a_rs,
       return;
     case Impl::kAvx2:
       detail::gemm_avx2(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue);
+      return;
+    case Impl::kAvx512:
+      detail::gemm_avx512(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n,
+                          epilogue);
       return;
   }
 }

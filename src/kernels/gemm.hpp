@@ -13,8 +13,8 @@
 // as the k-ascending chain  c = fma(A[i,k], B[k,j], c)  starting from +0.0f,
 // applies bias as one plain add after the chain, then the activation.  The
 // kernels target is compiled with -ffp-contract=off and all multiply-adds
-// are spelled as explicit fma, so reference / blocked / avx2 agree BITWISE
-// on finite inputs for every shape.  tests/kernel_equiv_test.cpp asserts
+// are spelled as explicit fma, so reference / blocked / avx2 / avx512 agree
+// BITWISE on finite inputs for every shape.  tests/kernel_equiv_test.cpp asserts
 // exact equality on this basis.
 #pragma once
 
@@ -67,8 +67,8 @@ void gemm_impl(Impl impl, const float* a, std::ptrdiff_t a_rs,
 
 namespace detail {
 
-// Per-implementation entry points (same signature as gemm).  avx2 must only
-// be called when supported(Impl::kAvx2) is true.
+// Per-implementation entry points (same signature as gemm).  avx2 and
+// avx512 must only be called when supported() is true for them.
 void gemm_reference(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
                     const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
                     float* c, std::size_t m, std::size_t k, std::size_t n,
@@ -81,6 +81,18 @@ void gemm_avx2(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
                const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
                float* c, std::size_t m, std::size_t k, std::size_t n,
                const GemmEpilogue& epilogue);
+void gemm_avx512(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
+                 const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
+                 float* c, std::size_t m, std::size_t k, std::size_t n,
+                 const GemmEpilogue& epilogue);
+/// avx512's 8x32 register-tile path for every n, without the narrow-output
+/// path (bench_kernel_scaling gates the narrow path's margin over it; the
+/// equivalence tests pin both).
+void gemm_avx512_tiled(const float* a, std::ptrdiff_t a_rs,
+                       std::ptrdiff_t a_cs, const float* b,
+                       std::ptrdiff_t b_rs, std::ptrdiff_t b_cs, float* c,
+                       std::size_t m, std::size_t k, std::size_t n,
+                       const GemmEpilogue& epilogue);
 
 }  // namespace detail
 

@@ -3,7 +3,7 @@
 // the library never executes this code unless runtime CPU detection
 // (kernels::supported) says the host has both features.
 //
-// The 6x16 register tile holds 12 accumulator ymm registers; each fma step
+// The 6x16 register tile (kTile6x16) holds 12 accumulator ymm registers; each fma step
 // broadcasts one packed A element per row and multiplies it against two
 // packed B vectors.  _mm256_fmadd_ps performs the identical fused operation
 // as the scalar std::fmaf chain, lane by lane, so the result is bitwise
@@ -29,6 +29,9 @@ namespace detail {
 
 #if defined(__AVX2__) && defined(__FMA__)
 namespace {
+
+constexpr int kMR = kTile6x16.mr;
+constexpr int kNR = kTile6x16.nr;
 
 void micro_avx2(std::size_t kc, const float* ap, const float* bp,
                 float* acc) {
@@ -92,8 +95,8 @@ void gemm_avx2(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
                const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
                float* c, std::size_t m, std::size_t k, std::size_t n,
                const GemmEpilogue& epilogue) {
-  gemm_blocked_driver(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue,
-                      &micro_avx2);
+  gemm_blocked_driver<kTile6x16>(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n,
+                                 epilogue, &micro_avx2);
 }
 
 #else  // !(__AVX2__ && __FMA__)

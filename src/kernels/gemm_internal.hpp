@@ -1,18 +1,25 @@
-// Internals shared by gemm.cpp (reference + blocked scalar micro-kernel) and
-// gemm_avx2.cpp (AVX2 micro-kernel).  Not installed; include only from
-// src/kernels translation units and tests that probe tile edges.
+// Internals shared by gemm.cpp (reference + blocked scalar micro-kernel),
+// gemm_avx2.cpp (AVX2 micro-kernel) and gemm_avx512.cpp (AVX-512 micro-kernel
+// and narrow-output path).  Not installed; include only from src/kernels
+// translation units and tests that probe tile edges.
 //
-// The blocked driver implements a BLIS-style structure: pack B into kNR-wide
-// column panels and A into kMR-tall row panels per (kKC x kNC) cache block,
-// then sweep a full kMR x kNR register tile over the packed panels.  Edge
+// The blocked driver implements a BLIS-style structure: pack B into NR-wide
+// column panels and A into MR-tall row panels per (kKC x kNC) cache block,
+// then sweep a full MR x NR register tile over the packed panels.  Edge
 // tiles are zero-padded in the packed panels, so the micro-kernel always
-// runs full-size; only the valid mr x nr lanes are stored back.
+// runs full-size; only the valid mr x nr lanes are stored back.  The
+// register tile is a template parameter: one driver serves every backend.
 //
 // Bitwise determinism: the accumulator tile is carried across k blocks
 // through C itself (stored after each non-final k block and reloaded, which
 // is value-preserving for floats), so each output element sees the exact
 // k-ascending fma chain the reference kernel computes.  Zero-padded lanes
 // only ever combine finite packed values, never touch C, and are discarded.
+//
+// Translation units built with wider target flags (-mavx2, -mavx512f) must
+// not instantiate the inline helpers below: the linker keeps one copy of an
+// inline function, and a copy compiled for a wider ISA would then run on
+// hosts without it.  They call the out-of-line entry points instead.
 #pragma once
 
 #include <cmath>
@@ -22,15 +29,25 @@
 
 namespace mldist::kernels::detail {
 
-inline constexpr int kMR = 6;    // register-tile rows
-inline constexpr int kNR = 16;   // register-tile cols (2 AVX2 vectors)
 inline constexpr std::size_t kKC = 256;  // k cache block
-inline constexpr std::size_t kMC = 126;  // m cache block (multiple of kMR)
-inline constexpr std::size_t kNC = 512;  // n cache block (multiple of kNR)
+inline constexpr std::size_t kNC = 512;  // n cache block (multiple of nr)
 
-// Full-tile micro-kernel contract: acc is a row-major kMR x kNR tile
+/// A register tile: mr x nr accumulators, and the m cache block mc (a
+/// multiple of mr) that sizes the packed A panel.
+struct Tile {
+  int mr;
+  int nr;
+  std::size_t mc;
+};
+
+/// blocked and avx2: 6 rows x 2 AVX2 vectors (12 ymm accumulators).
+inline constexpr Tile kTile6x16{6, 16, 126};
+/// avx512: 8 rows x 2 AVX-512 vectors (16 zmm accumulators).
+inline constexpr Tile kTile8x32{8, 32, 120};
+
+// Full-tile micro-kernel contract: acc is a row-major mr x nr tile
 // (64-byte aligned); advance it by kc fma steps using the packed panels
-// ap (kc x kMR, strip-major) and bp (kc x kNR, strip-major).
+// ap (kc x mr, strip-major) and bp (kc x nr, strip-major).
 using MicroFn = void (*)(std::size_t kc, const float* ap, const float* bp,
                          float* acc);
 
@@ -107,11 +124,27 @@ inline float dot_fma(const float* a_row, std::ptrdiff_t a_cs,
 }
 
 // Cache-blocked packing driver; `micro` supplies the register-tile inner
-// loop (scalar or AVX2).  Defined in gemm.cpp.
+// loop for tile T (scalar, AVX2 or AVX-512).  Defined in gemm.cpp and
+// instantiated there for kTile6x16 and kTile8x32 only.
+template <Tile T>
 void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
                          std::ptrdiff_t a_cs, const float* b,
                          std::ptrdiff_t b_rs, std::ptrdiff_t b_cs, float* c,
                          std::size_t m, std::size_t k, std::size_t n,
                          const GemmEpilogue& epilogue, MicroFn micro);
+
+extern template void gemm_blocked_driver<kTile6x16>(
+    const float*, std::ptrdiff_t, std::ptrdiff_t, const float*,
+    std::ptrdiff_t, std::ptrdiff_t, float*, std::size_t, std::size_t,
+    std::size_t, const GemmEpilogue&, MicroFn);
+extern template void gemm_blocked_driver<kTile8x32>(
+    const float*, std::ptrdiff_t, std::ptrdiff_t, const float*,
+    std::ptrdiff_t, std::ptrdiff_t, float*, std::size_t, std::size_t,
+    std::size_t, const GemmEpilogue&, MicroFn);
+
+// apply_epilogue_row over every row of a contiguous m x n C.  Out of line
+// (gemm.cpp) so wider-ISA translation units reuse the one epilogue.
+void apply_epilogue_rows(float* c, std::size_t m, std::size_t n,
+                         const GemmEpilogue& epilogue);
 
 }  // namespace mldist::kernels::detail

@@ -16,9 +16,7 @@ void norm_act_inplace(float* c, std::size_t rows, std::size_t cols,
   obs::Span span("norm_act", "kernels");
   span.arg("rows", static_cast<std::uint64_t>(rows))
       .arg("cols", static_cast<std::uint64_t>(cols));
-  for (std::size_t i = 0; i < rows; ++i) {
-    detail::apply_epilogue_row(c + i * cols, cols, epilogue, 0);
-  }
+  detail::apply_epilogue_rows(c, rows, cols, epilogue);
 }
 
 }  // namespace mldist::kernels

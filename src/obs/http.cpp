@@ -11,17 +11,19 @@
 
 namespace mldist::obs {
 
+// Close-on-exec is set at creation time (SOCK_CLOEXEC / accept4) so there is
+// no window where a concurrent fork could inherit the fd; the fcntl path is
+// the fallback for platforms without the flags.
+#ifndef SOCK_CLOEXEC
 namespace {
 
-/// Portable close-on-exec: preferred at creation time (SOCK_CLOEXEC /
-/// accept4) so there is no window where a concurrent fork could inherit the
-/// fd; the fcntl path is the fallback for platforms without the flags.
 void set_cloexec(int fd) {
   const int flags = ::fcntl(fd, F_GETFD);
   if (flags >= 0) (void)::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
 }  // namespace
+#endif
 
 int listen_tcp(std::uint16_t port, int backlog, std::uint16_t* bound_port,
                std::string* error) {

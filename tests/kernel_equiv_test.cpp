@@ -79,7 +79,7 @@ std::vector<float> random_floats(std::size_t n, Xoshiro256& rng) {
 // ---------------------------------------------------------------------------
 
 TEST(KernelDispatch, NamesRoundTrip) {
-  for (Impl impl : {Impl::kReference, Impl::kBlocked, Impl::kAvx2}) {
+  for (Impl impl : kernels::kAllImpls) {
     Impl parsed;
     ASSERT_TRUE(kernels::parse_impl(kernels::impl_name(impl), parsed));
     EXPECT_EQ(parsed, impl);
@@ -131,8 +131,8 @@ struct Shape {
 };
 
 // Adversarial shapes: degenerate, tall/skinny, exact register-tile
-// multiples (6x16 micro-tile), off-by-one around tile and cache-block
-// (KC=256, MC=126, NC=512) boundaries, both sides of the small-product
+// multiples (6x16 and 8x32 micro-tiles), off-by-one around tile and
+// cache-block (KC=256, MC=126/120, NC=512) boundaries, both sides of the small-product
 // bypass (m*k*n = 32^3 - 1 and 32^3), k = 1 on both paths, and the
 // batch-1 gohr-net conv products (2x96x32 border, 62x96x32 interior).
 const Shape kShapes[] = {
@@ -266,8 +266,11 @@ TEST(GemmEquivalence, FusedMatchesUnfused) {
 TEST(GemmEquivalence, EpiloguesWithNanAndNegativeZeroLanes) {
   Xoshiro256 rng(0x88);
   const float nan = std::numeric_limits<float>::quiet_NaN();
+  // n < 8 shapes take avx512's narrow-output path; n >= 2 keeps the -0
+  // column apart from the NaN ones.
   for (const Shape& s : {Shape{2, 96, 32}, Shape{31, 151, 7},
-                         Shape{62, 96, 32}, Shape{19, 257, 33}}) {
+                         Shape{62, 96, 32}, Shape{19, 257, 33},
+                         Shape{121, 257, 2}, Shape{9, 300, 3}}) {
     const auto b = random_floats(s.k * s.n, rng);
     auto bias = random_floats(s.n, rng);
     auto mean = random_floats(s.n, rng);
@@ -341,6 +344,77 @@ TEST(GemmEquivalence, EpiloguesWithNanAndNegativeZeroLanes) {
   }
 }
 
+// avx512 has two GEMM paths: the 8x32 register tile and, for n < 8, the
+// narrow-output path whose lanes run over rows.  Both must equal the
+// reference bit for bit on every side of the narrow threshold, the tile
+// edges (m around 8 and MC=120, n around 32) and KC=256, for each operand
+// layout the fit uses: row-major (forward), transposed A (dW = X^T dY),
+// transposed B (dX = dY W^T), padded leading dimensions, and strides that
+// are 1 on neither axis (the narrow path's gather).
+TEST(GemmEquivalence, Avx512TileAndNarrowPathsGrid) {
+  if (!kernels::supported(Impl::kAvx512)) {
+    GTEST_SKIP() << "avx512 not supported on this machine";
+  }
+  struct Layout {
+    const char* name;
+    std::ptrdiff_t a_rs, a_cs, b_rs, b_cs;
+  };
+  // One operand pool, sliced per case, sized for the largest extent.
+  Xoshiro256 rng(0xaa);
+  const auto pool = random_floats(2u << 20, rng);
+  const float* a = pool.data();
+  const float* b = pool.data() + (1u << 20);
+  const auto extent = [](std::size_t rows, std::size_t cols,
+                         std::ptrdiff_t rs, std::ptrdiff_t cs) {
+    return static_cast<std::size_t>(static_cast<std::ptrdiff_t>(rows - 1) * rs +
+                                    static_cast<std::ptrdiff_t>(cols - 1) * cs) +
+           1;
+  };
+  std::size_t checked = 0;
+  for (std::size_t m : {1u, 7u, 8u, 9u, 119u, 120u, 121u, 512u}) {
+    for (std::size_t n : {1u, 2u, 3u, 4u, 7u, 8u, 31u, 32u, 33u, 1024u}) {
+      for (std::size_t k : {255u, 257u}) {
+        // The largest products only in row-major layout: the reference
+        // is slow and the other layouts are covered by the smaller m, n.
+        const bool big = m * n > 512u * 33u;
+        const auto im = static_cast<std::ptrdiff_t>(m);
+        const auto ik = static_cast<std::ptrdiff_t>(k);
+        const auto in = static_cast<std::ptrdiff_t>(n);
+        const Layout layouts[] = {
+            {"NN", ik, 1, in, 1},
+            {"TN", 1, im, in, 1},
+            {"NT", ik, 1, 1, ik},
+            {"padded", ik + 5, 1, in + 3, 1},
+            {"strided", 3, 3 * im + 1, 2 * in, 2},
+        };
+        for (const Layout& l : layouts) {
+          if (big && std::string(l.name) != "NN") continue;
+          ASSERT_LE(extent(m, k, l.a_rs, l.a_cs), 1u << 20);
+          ASSERT_LE(extent(k, n, l.b_rs, l.b_cs), 1u << 20);
+          const std::string what = std::string(l.name) +
+                                   " m=" + std::to_string(m) +
+                                   " k=" + std::to_string(k) +
+                                   " n=" + std::to_string(n);
+          std::vector<float> want(m * n);
+          kernels::gemm_impl(Impl::kReference, a, l.a_rs, l.a_cs, b, l.b_rs,
+                             l.b_cs, want.data(), m, k, n);
+          std::vector<float> got(m * n, -12345.0f);
+          kernels::gemm_impl(Impl::kAvx512, a, l.a_rs, l.a_cs, b, l.b_rs,
+                             l.b_cs, got.data(), m, k, n);
+          expect_bitwise_equal(got, want, what + " avx512");
+          std::vector<float> tiled(m * n, -12345.0f);
+          kernels::detail::gemm_avx512_tiled(a, l.a_rs, l.a_cs, b, l.b_rs,
+                                             l.b_cs, tiled.data(), m, k, n,
+                                             {});
+          expect_bitwise_equal(tiled, want, what + " avx512 8x32 tile");
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500u);
+}
+
 // The packing buffers are per-thread grow-only arenas that are never
 // cleared.  Whatever a thread ran before — a product that grew both arenas
 // past every cache block, a small product, a multi-k-block product whose
@@ -355,7 +429,9 @@ TEST(GemmEquivalence, PackArenaReuseOnOneThreadAndPoolWorkers) {
   for (const Shape& s : {Shape{40, 40, 40},      // packed, below every block
                          Shape{130, 300, 530},   // past kMC, kKC and kNC
                          Shape{5, 33, 17},       // small-product path
-                         Shape{19, 600, 33}}) {  // k > kKC: C-resume path
+                         Shape{19, 600, 33},     // k > kKC: C-resume path
+                         Shape{121, 300, 2},     // avx512 narrow path
+                         Shape{121, 257, 33}}) { // 8x32 tile edges, k > kKC
     Case c{s, random_floats(s.m * s.k, rng), random_floats(s.k * s.n, rng),
            std::vector<float>(s.m * s.n)};
     kernels::gemm_impl(Impl::kReference, c.a.data(),

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -844,6 +848,85 @@ TEST_F(DaemonTest, StopDrainsAndIsIdempotent) {
   daemon_->stop();  // idempotent
   // The port is released (close-on-exec fds, no lingering owner).
   EXPECT_LT(connect_loopback(port), 0);
+}
+
+// ---------------------------------------------------------------------------
+// --serve-metrics on a piped stdout
+// ---------------------------------------------------------------------------
+
+/// Runs `argv` in `cwd` with stdout on a pipe (stderr discarded) and waits
+/// up to 30 s for the "metrics server on http://localhost:PORT/metrics"
+/// line.  While the child is still running, GETs /healthz from that port:
+/// a line that only reaches the pipe when the process exits (an unflushed
+/// stdout) can never pass.  The child is killed afterwards.
+void expect_metrics_url_while_running(std::vector<std::string> argv,
+                                      const std::string& cwd) {
+  std::vector<char*> args;  // built before fork: the child only execs
+  for (std::string& a : argv) args.push_back(a.data());
+  args.push_back(nullptr);
+  int out[2];
+  ASSERT_EQ(::pipe(out), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(out[1], STDOUT_FILENO);
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    if (devnull >= 0) ::dup2(devnull, STDERR_FILENO);
+    ::close(out[0]);
+    ::close(out[1]);
+    if (::chdir(cwd.c_str()) != 0) ::_exit(127);
+    ::execv(args[0], args.data());
+    ::_exit(127);
+  }
+  ::close(out[1]);
+
+  const std::string prefix = "metrics server on http://localhost:";
+  std::string seen;
+  int port = -1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (port < 0 && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{out[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char buf[512];
+    const ssize_t n = ::read(out[0], buf, sizeof(buf));
+    if (n <= 0) break;  // the child exited without printing the line
+    seen.append(buf, static_cast<std::size_t>(n));
+    const std::size_t at = seen.find(prefix);
+    if (at != std::string::npos &&
+        seen.find('\n', at) != std::string::npos) {
+      port = std::atoi(seen.c_str() + at + prefix.size());
+    }
+  }
+  const bool alive = ::waitpid(pid, nullptr, WNOHANG) == 0;
+  const HttpResult health =
+      port > 0 && alive ? http_get(static_cast<std::uint16_t>(port),
+                                   "/healthz")
+                        : HttpResult{};
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  ::close(out[0]);
+
+  ASSERT_GT(port, 0) << argv[0] << " printed no metrics URL: " << seen;
+  EXPECT_TRUE(alive) << argv[0] << " exited before the check";
+  EXPECT_EQ(health.status, 200) << argv[0];
+}
+
+TEST(ServeMetricsFlag, CliPrintsTheUrlToAPipeWhileRunning) {
+  TempDir dir("cli_url");
+  // A training run far longer than the check; it is killed once the URL
+  // has been read and /healthz answered.
+  expect_metrics_url_while_running(
+      {MLDIST_CLI_PATH, "train", "--target", "gimli-hash", "--rounds", "7",
+       "--samples", "20000", "--epochs", "500", "--model",
+       dir.path() + "/m.nnb", "--serve-metrics", "0"},
+      dir.path());
+}
+
+TEST(ServeMetricsFlag, BenchPrintsTheUrlToAPipeWhileRunning) {
+  TempDir dir("bench_url");
+  expect_metrics_url_while_running(
+      {MLDIST_BENCH_PATH, "--full", "--serve-metrics", "0"}, dir.path());
 }
 
 }  // namespace
